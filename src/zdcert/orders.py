@@ -19,7 +19,7 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, is_prime, is_squarefree
+from .quadratic import QuadElement, Rat, binary_power, is_prime, is_squarefree, prime_divisors
 
 _MAX_STEPS = 1_000_000
 
@@ -157,14 +157,7 @@ class FracIdeal:
     def __pow__(self, n: int) -> "FracIdeal":
         if n < 0:
             raise ValueError("negative ideal powers are not supported; use conjugate()")
-        result = unit_ideal(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, unit_ideal(self.order))
 
     def conjugate(self) -> "FracIdeal":
         tr = self.order.omega_trace
@@ -395,14 +388,7 @@ class IdealClass:
     def __pow__(self, n: int) -> "IdealClass":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ideal_class(unit_ideal(self.order))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, ideal_class(unit_ideal(self.order)))
 
     def inverse(self) -> "IdealClass":
         return ideal_class(self.rep.conjugate())
@@ -544,7 +530,7 @@ def _abelian_invariants(classes: set[IdealClass], triv: IdealClass) -> tuple[int
     if h == 1:
         return ()
     partitions: dict[int, list[int]] = {}
-    for p in _prime_factors(h):
+    for p in prime_divisors(h):
         # t_k = #(p^k)-torsion = p^(sum min(k, lambda_i)); read off the partition
         mks = []
         prev = 1
@@ -567,20 +553,6 @@ def _abelian_invariants(classes: set[IdealClass], triv: IdealClass) -> tuple[int
                 n *= p ** lam[i]
         factors.append(n)
     return tuple(sorted(factors))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _int_log(n: int, p: int) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .quadratic import exact_isqrt
+from .quadratic import binary_power, exact_isqrt
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -75,13 +75,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        result, base = IntPoly([1]), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, IntPoly([1]))
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -107,12 +101,6 @@ class IntPoly:
             g = -g
         return IntPoly([c // g for c in self.coeffs])
 
-    def shift_degree(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -134,10 +122,6 @@ class IntPoly:
 
 
 X = IntPoly((0, 1))
-
-
-def monomial(k: int, c: int = 1) -> IntPoly:
-    return IntPoly((0,) * k + (c,))
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -353,28 +337,3 @@ def factor_quartic(f: IntPoly) -> list[IntPoly]:
 def is_irreducible_quartic(f: IntPoly) -> bool:
     return len(factor_quartic(f)) == 1
 
-
-def lagrange_int_poly(points: list[tuple[int, int]]) -> IntPoly:
-    """Interpolate the unique degree < len(points) polynomial; must land in Z[x]."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for xi, yi in points:
-        # build the Lagrange basis numerator prod_{j != i} (x - xj) incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-        w = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += w * c
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("interpolated polynomial is not integral")
-    return IntPoly([int(c) for c in coeffs])

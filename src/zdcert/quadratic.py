@@ -42,6 +42,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def binary_power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; one is the identity of base's ring."""
+    if n < 0:
+        raise ValueError("binary_power needs a nonnegative exponent")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _check_d(d: int) -> int:
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"field parameter must be squarefree and not 0 or 1, got {d}")
@@ -114,14 +143,7 @@ class QuadElement:
     def __pow__(self, n: int) -> "QuadElement":
         if n < 0:
             return (QuadElement(self.d, 1) / self) ** (-n)
-        result = QuadElement(self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, QuadElement(self.d, 1))
 
     def conjugate(self) -> "QuadElement":
         return QuadElement(self.d, self.a, -self.b)

@@ -19,11 +19,9 @@ from .polynomials import (
     discriminant,
     is_irreducible_quartic,
     is_rational_square,
-    lagrange_int_poly,
-    resultant,
     squarefree_part,
 )
-from .quadratic import QuadElement, is_prime
+from .quadratic import QuadElement, is_prime, prime_divisors
 
 DEFAULT_STABILITY_BOUND = 12
 
@@ -90,19 +88,32 @@ def is_ordinary(quartic: WeilQuartic) -> bool:
 
 
 def power_charpoly(poly: IntPoly, n: int) -> IntPoly:
-    """Characteristic polynomial of pi^n, as Res_y(poly(y), x - y^n).
+    """Characteristic polynomial prod (x - r^n) of pi^n, over the roots r of poly.
 
-    The resultant in x is monic of degree deg(poly); it is recovered from
-    integer Sylvester resultants at interpolation points.
+    poly must be monic.  Newton's identities give its power sums s_k = sum r^k
+    (a linear recurrence once k > deg), and turn s_n, s_2n, ..., s_{deg*n}
+    back into the coefficients of the answer.  Integer arithmetic throughout:
+    the roots are algebraic integers, so each division by k is exact (Cohen,
+    A Course in Computational Algebraic Number Theory, 4.3).
     """
+    if not poly.is_monic():
+        raise ValueError("power_charpoly requires a monic polynomial")
+    if n < 0:
+        raise ValueError("power_charpoly requires a nonnegative exponent")
     deg = poly.degree
-    points = []
-    for x0 in range(-(deg // 2), deg - deg // 2 + 1):
-        g = IntPoly((x0,) + (0,) * (n - 1) + (-1,))
-        points.append((x0, resultant(poly, g)))
-    out = lagrange_int_poly(points)
-    assert out.degree == deg and out.is_monic()
-    return out
+    a = poly.coeffs[::-1]  # a[j] is the coefficient of x^(deg - j)
+    s = [deg]
+    for k in range(1, deg * n + 1):
+        acc = k * a[k] if k <= deg else 0
+        for j in range(1, min(k - 1, deg) + 1):
+            acc += a[j] * s[k - j]
+        s.append(-acc)
+    out = [1]
+    for k in range(1, deg + 1):
+        c, rem = divmod(-sum(out[j] * s[(k - j) * n] for j in range(k)), k)
+        assert rem == 0, "Newton's identities divide exactly over monic integer polynomials"
+        out.append(c)
+    return IntPoly(out[::-1])
 
 
 def power_minpoly(poly: IntPoly, n: int) -> IntPoly:
@@ -253,7 +264,7 @@ class NewformDatum:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be a positive integer")
-        bad = frozenset(p for p in _prime_divisors(self.level))
+        bad = frozenset(prime_divisors(self.level))
         object.__setattr__(self, "bad_primes", bad)
         if self.expected_dim < 1:
             raise ValueError("expected dimension must be positive")
@@ -273,16 +284,3 @@ class NewformDatum:
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)
 
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,7 +12,6 @@ from zdcert.polynomials import (
     factor_quartic,
     is_irreducible_quartic,
     is_rational_square,
-    lagrange_int_poly,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -66,6 +66,10 @@ def test_basic_arithmetic():
     assert IntPoly((0, 0, 0)).is_zero() and IntPoly((0, 0, 0)).degree == -1
     assert (IntPoly((1, 2)) - IntPoly((1, 2))).is_zero()
     assert X**3 == IntPoly((0, 0, 0, 1))
+    for k in range(9):
+        assert IntPoly((1, 1)) ** k == IntPoly([comb(k, i) for i in range(k + 1)])
+    with pytest.raises(ValueError):
+        X ** -1
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -221,17 +225,10 @@ def test_is_rational_square():
     assert not is_rational_square(-1)
     assert not is_rational_square(10)
     assert is_rational_square(0)
+    squares = {Fraction(a * a, b * b) for a in range(8) for b in range(1, 8)}
     rng = random.Random(20260817)
     for _ in range(500):
         q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         assert is_rational_square(q * q)
-        if q > 0 and not is_rational_square(q):
-            assert not is_rational_square(q)
-
-
-def test_lagrange_interpolation():
-    f = IntPoly((3, -2, 0, 1))
-    pts = [(x, f.eval(x)) for x in range(-2, 3)]
-    assert lagrange_int_poly(pts) == f
-    with pytest.raises(ValueError):
-        lagrange_int_poly([(0, 0), (2, 1)])  # x/2 is not integral
+        # |numerator| and denominator are at most 50 < 8^2, so this set holds every square q can be
+        assert is_rational_square(q) == (q in squares)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from zdcert.errors import DeductionRefused, InvalidEigenvalueError
-from zdcert.polynomials import IntPoly, discriminant, is_rational_square
+from zdcert.polynomials import IntPoly, discriminant, is_irreducible_quartic, is_rational_square
 from zdcert.quadratic import QuadElement, is_prime
 from zdcert.weil import (
     NewformDatum,
@@ -151,21 +151,18 @@ def _poly_mat_det(matrix):
 
 def test_power_charpoly_matches_companion_matrix_oracle():
     # independent route: charpoly of the n-th power of the companion matrix
-    rng = random.Random(20260832)
-    for quartic in (CHARPOLY_17, CHARPOLY_19):
-        f = quartic.poly
+    for f in (CHARPOLY_17.poly, CHARPOLY_19.poly, IntPoly((4, 0, 2, 0, 1))):
         companion = [[0] * 4 for _ in range(4)]
         for i in range(3):
             companion[i + 1][i] = 1
         for i in range(4):
             companion[i][3] = -f[i]
-        for n in (2, 3, 5):
-            power = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-            for _ in range(n):
-                power = [
-                    [sum(power[i][k] * companion[k][j] for k in range(4)) for j in range(4)]
-                    for i in range(4)
-                ]
+        power = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        for n in range(1, 13):
+            power = [
+                [sum(power[i][k] * companion[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)
+            ]
             xi_minus_m = [
                 [IntPoly((-power[i][j], 1)) if i == j else IntPoly((-power[i][j],)) for j in range(4)]
                 for i in range(4)
@@ -227,6 +224,25 @@ def test_stability_monotonicity_random():
             if part.failed_at is not None:
                 assert full.failed_at == part.failed_at
             assert part.degrees == full.degrees[: len(part.degrees)]
+
+
+def test_stability_matches_howe_zhu_criterion_random():
+    # independent oracle (Howe & Zhu, J. Number Theory 92, 2002): an ordinary
+    # simple surface with Weil polynomial x^4 + ax^3 + bx^2 + pax + p^2 fails
+    # to be absolutely simple iff a = 0 or a^2 is one of p + b, 2b, 3b - 3p
+    rng = random.Random(20260834)
+    cases = unstable = 0
+    while cases < 400:
+        quartic = _random_weil_quartic(rng)
+        if not is_ordinary(quartic) or not is_irreducible_quartic(quartic.poly):
+            continue
+        cases += 1
+        p, a, b = quartic.p, quartic.c3, quartic.c2
+        howe_zhu_simple = not (a == 0 or a * a in (p + b, 2 * b, 3 * b - 3 * p))
+        report = endomorphism_stability(quartic, 12)
+        assert report.stable == howe_zhu_simple, quartic
+        unstable += not report.stable
+    assert 0 < unstable < cases
 
 
 def test_distinctness_golden():
