@@ -23,7 +23,6 @@ from .polynomials import (
     is_irreducible_quartic,
     is_rational_square,
     resultant,
-    squarefree_part,
 )
 from .orders import (
     ClassGroup,

@@ -465,7 +465,8 @@ def run_certificate(inp: VerificationInput, bound: int = DEFAULT_STABILITY_BOUND
     )
 
     def body9():
-        degree = 2  # the Hecke field is quadratic by construction of the input
+        # the eigenvalues generate Q(√d) iff one of them has a nonzero √d part
+        degree = 2 if any(a_p.b != 0 for a_p in datum.eigenvalues.values()) else 1
         c9.outputs["hecke_field_degree"] = degree
         if datum.expected_dim != degree:
             raise _CheckFailure(

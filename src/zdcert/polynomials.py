@@ -1,4 +1,4 @@
-"""Integer polynomials: exact arithmetic, resultants, discriminants, quartic factorization.
+"""Integer polynomials: exact arithmetic, resultants, discriminants, power sums, quartic factorization.
 
 Coefficients are arbitrary-precision integers, constant term first, with no
 trailing zeros stored; the zero polynomial is the empty tuple.
@@ -93,14 +93,6 @@ class IntPoly:
             g = gcd(g, c)
         return g
 
-    def primitive_part(self) -> "IntPoly":
-        if self.is_zero():
-            return self
-        g = self.content()
-        if self.lc < 0:
-            g = -g
-        return IntPoly([c // g for c in self.coeffs])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -124,28 +116,33 @@ class IntPoly:
 X = IntPoly((0, 1))
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free determinant; all intermediate divisions are exact."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def rank_and_det(m: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every entry after a pivot step is a minor of m, so each division by the
+    previous pivot is exact; columns with no pivot are skipped, which makes
+    the rank come out for singular and rectangular matrices too.  The
+    determinant is 0 unless m is square of full rank (1 for the empty matrix).
+    """
+    rows = [list(r) for r in m]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, n_rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        for row in rows[rank + 1 :]:
+            for j in range(col + 1, n_cols):
+                row[j], rem = divmod(row[j] * top[col] - row[col] * top[j], prev)
+                assert rem == 0, "Bareiss divisions are exact over Z"
+            row[col] = 0
+        prev = top[col]
+        rank += 1
+    return rank, (sign * prev if rank == n_rows == n_cols else 0)
 
 
 def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
@@ -169,7 +166,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         return f.lc ** g.degree
     if g.degree == 0:
         return g.lc ** f.degree
-    return _det_bareiss(sylvester_matrix(f, g))
+    return rank_and_det(sylvester_matrix(f, g))[1]
 
 
 def discriminant(f: IntPoly) -> int:
@@ -184,6 +181,28 @@ def discriminant(f: IntPoly) -> int:
     q, rem = divmod(sign * r, f.lc)
     assert rem == 0, "discriminant of an integer polynomial is an integer"
     return q
+
+
+def power_sums(f: IntPoly, top: int) -> list[int]:
+    """Power sums s_0, ..., s_top, s_k = sum r^k over the roots r of a monic f.
+
+    Newton's identities, which become f's linear recurrence once k > deg f.
+    Integer arithmetic throughout (Cohen, A Course in Computational Algebraic
+    Number Theory, 4.3).
+    """
+    if not f.is_monic():
+        raise ValueError("power sums require a monic polynomial")
+    if top < 0:
+        raise ValueError("power sums require a nonnegative top index")
+    deg = f.degree
+    a = f.coeffs[::-1]  # a[j] is the coefficient of x^(deg - j)
+    s = [deg]
+    for k in range(1, top + 1):
+        acc = k * a[k] if k <= deg else 0
+        for j in range(1, min(k - 1, deg) + 1):
+            acc += a[j] * s[k - j]
+        s.append(-acc)
+    return s
 
 
 def is_rational_square(q: int | Fraction) -> bool:
@@ -221,42 +240,6 @@ def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     if any(rem):
         raise ValueError("division is not exact over Z")
     return IntPoly(out)
-
-
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Z with positive leading coefficient (Euclid over Q)."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-
-    def _trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = _trim(a), _trim(b)
-    while b:
-        # a mod b over Q
-        r = a[:]
-        for i in range(len(r) - len(b), -1, -1):
-            c = r[i + len(b) - 1] / b[-1]
-            for j, bc in enumerate(b):
-                r[i + j] -= c * bc
-        a, b = b, _trim(r)
-    if not a:
-        return IntPoly()
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return IntPoly([int(c * den) for c in a]).primitive_part()
-
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f / gcd(f, f'), primitive with positive leading coefficient."""
-    if f.degree < 1:
-        raise ValueError("squarefree part requires degree >= 1")
-    g = poly_gcd(f, f.derivative())
-    num = f.primitive_part()
-    return exact_div(num, g).primitive_part()
 
 
 def _integer_root(f: IntPoly) -> int | None:

@@ -19,7 +19,8 @@ from .polynomials import (
     discriminant,
     is_irreducible_quartic,
     is_rational_square,
-    squarefree_part,
+    power_sums,
+    rank_and_det,
 )
 from .quadratic import QuadElement, is_prime, prime_divisors
 
@@ -87,40 +88,6 @@ def is_ordinary(quartic: WeilQuartic) -> bool:
     return gcd(quartic.c2, quartic.p) == 1
 
 
-def power_charpoly(poly: IntPoly, n: int) -> IntPoly:
-    """Characteristic polynomial prod (x - r^n) of pi^n, over the roots r of poly.
-
-    poly must be monic.  Newton's identities give its power sums s_k = sum r^k
-    (a linear recurrence once k > deg), and turn s_n, s_2n, ..., s_{deg*n}
-    back into the coefficients of the answer.  Integer arithmetic throughout:
-    the roots are algebraic integers, so each division by k is exact (Cohen,
-    A Course in Computational Algebraic Number Theory, 4.3).
-    """
-    if not poly.is_monic():
-        raise ValueError("power_charpoly requires a monic polynomial")
-    if n < 0:
-        raise ValueError("power_charpoly requires a nonnegative exponent")
-    deg = poly.degree
-    a = poly.coeffs[::-1]  # a[j] is the coefficient of x^(deg - j)
-    s = [deg]
-    for k in range(1, deg * n + 1):
-        acc = k * a[k] if k <= deg else 0
-        for j in range(1, min(k - 1, deg) + 1):
-            acc += a[j] * s[k - j]
-        s.append(-acc)
-    out = [1]
-    for k in range(1, deg + 1):
-        c, rem = divmod(-sum(out[j] * s[(k - j) * n] for j in range(k)), k)
-        assert rem == 0, "Newton's identities divide exactly over monic integer polynomials"
-        out.append(c)
-    return IntPoly(out[::-1])
-
-
-def power_minpoly(poly: IntPoly, n: int) -> IntPoly:
-    """Minimal polynomial of pi^n: the squarefree part of the power charpoly."""
-    return squarefree_part(power_charpoly(poly, n))
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Degrees of the minimal polynomials of pi^n for n = 2..bound."""
@@ -142,6 +109,14 @@ class StabilityReport:
 def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_BOUND) -> StabilityReport:
     """Certify Q(pi^n) = Q(pi) for n = 2..bound, or report the first drop.
 
+    The degree of the minimal polynomial of pi^n is the number of distinct
+    values r^n over the roots r of the quartic.  By Hermite's theorem on the
+    power-sum quadratic form (Basu, Pollack, Roy, Algorithms in Real Algebraic
+    Geometry, ch. 4) that number is the rank of the Hankel matrix
+    [s_{n(i+j)}], 0 <= i, j < 4, of the power sums s_k = sum r^k: it factors
+    as V^T D V with V the Vandermonde matrix of the distinct r^n and D their
+    positive multiplicities.  One integer power-sum sequence serves every n.
+
     A degree drop would mean pi^n/conj(pi^n) is a root of unity in a quartic
     field, of order m with phi(m) <= 4, hence m <= 12: that is why 12 is the
     default bound.
@@ -150,11 +125,13 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
         raise ValueError("stability bound must be at least 2")
     if not is_irreducible_quartic(quartic.poly):
         raise ValueError("stability requires an irreducible Weil quartic")
+    deg = quartic.poly.degree
+    s = power_sums(quartic.poly, 2 * (deg - 1) * bound)
     degrees = []
     for n in range(2, bound + 1):
-        deg = power_minpoly(quartic.poly, n).degree
-        degrees.append(deg)
-        if deg != 4:
+        rank, _ = rank_and_det([[s[n * (i + j)] for j in range(deg)] for i in range(deg)])
+        degrees.append(rank)
+        if rank != deg:
             return StabilityReport(bound, tuple(degrees), n)
     return StabilityReport(bound, tuple(degrees), None)
 

@@ -11,6 +11,8 @@ from zdcert.cli import bundled_dataset_path, main
 from zdcert.errors import InputDataError
 
 DATASET = json.loads(bundled_dataset_path().read_text())
+GOLDEN = [Path(__file__).parent / "data" / name
+          for name in ("golden_bundled.json", "golden_level11_unstable.json")]
 
 
 def fresh(**overrides):
@@ -48,6 +50,16 @@ def test_determinism_up_to_timestamp():
     d1.pop("generated_at")
     d2.pop("generated_at")
     assert d1 == d2
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
+def test_certificate_matches_golden_fixture(path):
+    # each fixture is a certificate's JSON minus generated_at; its input echo
+    # is the dataset it was made from
+    expected = path.read_text()
+    blob = json.loads(run_raw(json.loads(expected)["input"]).to_json())
+    blob.pop("generated_at")
+    assert json.dumps(blob, indent=2, sort_keys=True) + "\n" == expected
 
 
 def _mutate(raw, path, value):
@@ -93,6 +105,14 @@ def test_corrupted_a17_reports_detail():
     cert = run_raw(_mutate(DATASET, ["eigenvalues", 0, "a", 0], 5))
     check = next(c for c in cert.failed_checks if c.name == "frobenius_charpoly")
     assert "reference polynomial" in check.outputs["detail"]
+
+
+def test_rational_eigenvalues_fail_dimension_check():
+    raw = _mutate(DATASET, ["eigenvalues", 0, "a"], [4, 1, 0, 1])
+    raw = _mutate(raw, ["eigenvalues", 1, "a"], [2, 1, 0, 1])
+    check = next(c for c in run_raw(raw).failed_checks if c.name == "dimension")
+    assert check.outputs["hecke_field_degree"] == 1
+    assert check.outputs["detail"] == "declared dimension 2 != field degree 1"
 
 
 def test_input_validation_errors():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 
@@ -12,9 +13,9 @@ from zdcert.polynomials import (
     factor_quartic,
     is_irreducible_quartic,
     is_rational_square,
-    poly_gcd,
+    power_sums,
+    rank_and_det,
     resultant,
-    squarefree_part,
 )
 
 CHARPOLY_17 = IntPoly((289, -136, 40, -8, 1))
@@ -208,16 +209,66 @@ def test_exact_div_and_gcd():
     assert exact_div(f * IntPoly((5, 3)), IntPoly((5, 3))) == f
     with pytest.raises(ValueError):
         exact_div(IntPoly((1, 1)), IntPoly((0, 2)))
-    g = poly_from_roots([1, 2]) * 3
-    h = poly_from_roots([2, 5])
-    assert poly_gcd(g, h) == IntPoly((-2, 1))
-    assert poly_gcd(f, IntPoly((3,))) == IntPoly((1,))
 
 
-def test_squarefree_part():
-    f = poly_from_roots([1, 1, 2])
-    assert squarefree_part(f) == poly_from_roots([1, 2])
-    assert squarefree_part(CHARPOLY_17) == CHARPOLY_17
+def fraction_rank(m) -> int:
+    """Test-local oracle: row echelon form by Gaussian elimination over Q."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def leibniz_det(m) -> int:
+    """Test-local oracle: the permutation expansion of the determinant."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_rank_and_det_match_fraction_elimination_random():
+    rng = random.Random(20260818)
+    for case in range(1500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if case % 3 == 0:  # low rank: a rows x r times r x cols product
+            r = rng.randint(0, min(rows, cols))
+            a = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(rows)]
+            b = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(r)]
+            m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)]
+        elif case % 3 == 1:  # square, often singular
+            m = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(rows)] for _ in range(rows)]
+        else:  # rectangular, sparse
+            m = [[rng.choice([0, 0, 0, rng.randint(-20, 20)]) for _ in range(cols)] for _ in range(rows)]
+        rank, det = rank_and_det(m)
+        assert rank == fraction_rank(m), m
+        assert det == (leibniz_det(m) if rows == len(m[0]) else 0), m
+    for rows, cols in ((1, 1), (3, 3), (2, 5), (5, 2)):
+        assert rank_and_det([[0] * cols for _ in range(rows)]) == (0, 0)
+    assert rank_and_det([]) == (0, 1)
+
+
+def test_power_sums_and_hankel_rank():
+    f = poly_from_roots([1, 1, 2, -3])
+    s = power_sums(f, 6)
+    assert s == [2 + 2**k + (-3) ** k for k in range(7)]
+    # Hermite: the Hankel matrix of the power sums has rank = number of distinct roots
+    assert rank_and_det([[s[i + j] for j in range(4)] for i in range(4)]) == (3, 0)
+    assert power_sums(CHARPOLY_17, 2) == [4, 8, -16]  # s_1 = -c3, s_2 = c3^2 - 2 c2
+    with pytest.raises(ValueError):
+        power_sums(IntPoly((1, 0, 2)), 4)  # not monic
+    with pytest.raises(ValueError):
+        power_sums(CHARPOLY_17, -1)
 
 
 def test_is_rational_square():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from zdcert.errors import DeductionRefused, InvalidEigenvalueError
-from zdcert.polynomials import IntPoly, discriminant, is_irreducible_quartic, is_rational_square
+from zdcert.polynomials import IntPoly, discriminant, is_irreducible_quartic, is_rational_square, power_sums
 from zdcert.quadratic import QuadElement, is_prime
 from zdcert.weil import (
     NewformDatum,
@@ -16,9 +16,9 @@ from zdcert.weil import (
     endomorphism_stability,
     frobenius_charpoly,
     is_ordinary,
-    power_charpoly,
-    power_minpoly,
 )
+
+from test_polynomials import fraction_rank
 
 EIGEN_17 = QuadElement(10, 4, -1)
 EIGEN_19 = QuadElement(10, 2, 1)
@@ -121,60 +121,56 @@ def test_ordinarity():
 
 
 def test_power_charpoly_squares():
-    # pi^2 roots for CHARPOLY_17: charpoly coefficients via explicit square map
-    cp = power_charpoly(CHARPOLY_17.poly, 1)
-    assert cp == CHARPOLY_17.poly
-    cp2 = power_charpoly(CHARPOLY_17.poly, 2)
-    assert cp2.is_monic() and cp2.degree == 4
-    # resultant-free check: if P(x) = prod (x - r_i) then prod (x - r_i^2)
-    # equals (-1)^deg P(sqrt(x)) P(-sqrt(x)), computable by separating parities
+    # prod (x - r_i^2) = (-1)^deg P(sqrt(x)) P(-sqrt(x)), computable by
+    # separating parities; its power sums are the even-index ones of P
     even = IntPoly((289, 40, 1))  # coefficients of x^0, x^2, x^4
     odd = IntPoly((-136, -8))  # of x^1, x^3
     sq = even * even - IntPoly((0, 1)) * odd * odd
-    assert cp2 == sq
+    assert power_sums(sq, 8) == power_sums(CHARPOLY_17.poly, 16)[::2]
 
 
-def _poly_mat_det(matrix):
-    # Laplace expansion over IntPoly entries; fine for 4x4
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = IntPoly(())
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * _poly_mat_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _companion_minpoly_degrees(f, bound):
+    # independent route: the minimal polynomial of C^n, for C the companion
+    # matrix of f, has degree dim span{C^0, C^n, C^2n, C^3n}, a rank over Q
+    companion = [[0] * 4 for _ in range(4)]
+    for i in range(3):
+        companion[i + 1][i] = 1
+    for i in range(4):
+        companion[i][3] = -f[i]
+    powers = [[[1 if i == j else 0 for j in range(4)] for i in range(4)]]
+    for _ in range(3 * bound):
+        last = powers[-1]
+        powers.append(
+            [[sum(last[i][k] * companion[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        )
+    degrees = []
+    for n in range(2, bound + 1):
+        vectors = [[entry for row in powers[k * n] for entry in row] for k in range(4)]
+        degrees.append(fraction_rank(vectors))
+        if degrees[-1] != 4:
+            break
+    return tuple(degrees)
 
 
 def test_power_charpoly_matches_companion_matrix_oracle():
-    # independent route: charpoly of the n-th power of the companion matrix
-    for f in (CHARPOLY_17.poly, CHARPOLY_19.poly, IntPoly((4, 0, 2, 0, 1))):
-        companion = [[0] * 4 for _ in range(4)]
-        for i in range(3):
-            companion[i + 1][i] = 1
-        for i in range(4):
-            companion[i][3] = -f[i]
-        power = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        for n in range(1, 13):
-            power = [
-                [sum(power[i][k] * companion[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)
-            ]
-            xi_minus_m = [
-                [IntPoly((-power[i][j], 1)) if i == j else IntPoly((-power[i][j],)) for j in range(4)]
-                for i in range(4)
-            ]
-            assert _poly_mat_det(xi_minus_m) == power_charpoly(f, n)
+    quartics = [CHARPOLY_17, CHARPOLY_19, WeilQuartic(2, IntPoly((4, 0, 2, 0, 1)))]
+    rng = random.Random(20260835)
+    while len(quartics) < 203:
+        quartic = _random_weil_quartic(rng)
+        if is_irreducible_quartic(quartic.poly):
+            quartics.append(quartic)
+    unstable = 0
+    for quartic in quartics:
+        degrees = endomorphism_stability(quartic, 12).degrees
+        assert degrees == _companion_minpoly_degrees(quartic.poly, 12), quartic
+        unstable += degrees[-1] != 4
+    assert 0 < unstable < len(quartics)
 
 
 def test_power_minpoly_unstable_example():
-    f = IntPoly((4, 0, 2, 0, 1))  # x^4 + 2x^2 + 4
-    m = power_minpoly(f, 2)
-    assert m == IntPoly((4, 2, 1))  # y^2 + 2y + 4
+    f = IntPoly((4, 0, 2, 0, 1))  # x^4 + 2x^2 + 4: pi^2 has minimal polynomial y^2 + 2y + 4
     report = endomorphism_stability(WeilQuartic(2, f), 12)
+    assert report.degrees == (2,)
     assert not report.stable and report.failed_at == 2
     assert str(report) == "unstable at power 2"
 
