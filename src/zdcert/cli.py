@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .certify import load_input, run_certificate
-from .errors import InputDataError
+from .errors import InputDataError, ResourceLimitError
 from .orders import (
     FracIdeal,
     class_group,
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

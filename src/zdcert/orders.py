@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, binary_power, is_prime, is_squarefree, prime_divisors
+from .quadratic import QuadElement, Rat, binary_power, is_prime, is_squarefree
 
 _MAX_STEPS = 1_000_000
 
@@ -490,7 +490,13 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
 
 
 def class_group(order: QuadOrder, bound: int = 10**6) -> ClassGroup:
-    """Structure of Pic(O) by closing the norm <= Minkowski-bound primes.
+    """Structure of Pic(O) from the norm <= Minkowski-bound prime ideals.
+
+    Each generator class g not yet reached extends the group H reached so far
+    by the cosets H*g, H*g^2, ... until g^n lies in H: one multiplication per
+    new class.  Each stop gives a relation row n*e_g - (digits of g^n in H);
+    the rows form a triangular matrix of determinant h, whose Smith-form
+    diagonal is the invariants.
 
     Works for any fundamental discriminant with |disc| <= bound; the bound
     keeps the prime enumeration and reduction cycles at desk scale.
@@ -505,63 +511,57 @@ def class_group(order: QuadOrder, bound: int = 10**6) -> ClassGroup:
         if is_prime(p):
             gens.extend(prime_ideals_above(order, p))
 
-    triv = trivial_class(order)
-    classes = {triv}
-    gen_classes = {ideal_class(g) for g in gens}
-    frontier = set(gen_classes) | {triv}
-    while frontier:
-        new = set()
-        for c in frontier:
-            for g in gen_classes:
-                prod = c * g
-                if prod not in classes:
-                    classes.add(prod)
-                    new.add(prod)
-        frontier = new
+    # elems[i] is the product of g_j^(e_j), e = the digits of i in radices n_j
+    elems = [trivial_class(order)]
+    index = {elems[0]: 0}
+    radices: list[int] = []
+    relations: list[list[int]] = []
+    for g in dict.fromkeys(ideal_class(i) for i in gens):
+        if g in index:
+            continue
+        size = len(elems)
+        while (head := elems[-size] * g) not in index:
+            for c in [head] + [x * g for x in elems[len(elems) - size + 1:]]:
+                index[c] = len(elems)
+                elems.append(c)
+        row, pos = [], index[head]
+        for n in radices:
+            pos, digit = divmod(pos, n)
+            row.append(-digit)
+        radices.append(len(elems) // size)
+        relations.append(row + [radices[-1]])
 
-    invariants = _abelian_invariants(classes, triv)
-    ordered = tuple(sorted(classes, key=IdealClass.key))
+    invariants = _smith_invariants([row + [0] * (len(radices) - len(row)) for row in relations])
+    assert prod(invariants) == len(elems)
+    ordered = tuple(sorted(elems, key=IdealClass.key))
     return ClassGroup(order, invariants, ordered, tuple(gens))
 
 
-def _abelian_invariants(classes: set[IdealClass], triv: IdealClass) -> tuple[int, ...]:
-    """Invariant factors n1 | n2 | ... from the element-order profile."""
-    h = len(classes)
-    if h == 1:
-        return ()
-    partitions: dict[int, list[int]] = {}
-    for p in prime_divisors(h):
-        # t_k = #(p^k)-torsion = p^(sum min(k, lambda_i)); read off the partition
-        mks = []
-        prev = 1
-        k = 1
-        while True:
-            tk = sum(1 for c in classes if (c ** (p**k)) == triv)
-            if tk == prev:
-                break
-            mks.append(_int_log(tk // prev, p))
-            prev = tk
-            k += 1
-        lam = [sum(1 for m in mks if m >= i) for i in range(1, mks[0] + 1)]
-        partitions[p] = lam
-    width = max(len(lam) for lam in partitions.values())
-    factors = []
-    for i in range(width):
-        n = 1
-        for p, lam in partitions.items():
-            if i < len(lam):
-                n *= p ** lam[i]
-        factors.append(n)
-    return tuple(sorted(factors))
-
-
-def _int_log(n: int, p: int) -> int:
-    k = 0
-    while n > 1:
-        assert n % p == 0
-        n //= p
-        k += 1
-    return k
+def _smith_invariants(m: list[list[int]]) -> tuple[int, ...]:
+    """The Smith normal form diagonal entries != 1 of a nonsingular square
+    integer matrix (consumed), ascending: each divides the next."""
+    out: list[int] = []
+    while m:
+        # a pass that does not retire its pivot leaves a smaller nonzero entry
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+        p = m[i][j]
+        for row in m[:i] + m[i + 1:]:
+            q = row[j] // p
+            row[:] = [x - q * y for x, y in zip(row, m[i])]
+        for l, q in enumerate([x // p for x in m[i]]):
+            if l != j:
+                for row in m:
+                    row[l] -= q * row[j]
+        if any(row[j] for row in m[:i] + m[i + 1:]) or any(m[i][:j] + m[i][j + 1:]):
+            continue
+        bad = next((row for row in m if any(x % p for x in row)), None)
+        if bad is None:
+            out.append(abs(p))
+            m = [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]]
+        else:
+            # add that row to row i, then reduce row i modulo the pivot column
+            m[i] = [p if l == j else x % p for l, x in enumerate(bad)]
+    return tuple(n for n in out if n != 1)
 
 
 def ideals_of_norm_up_to(order: QuadOrder, bound: int) -> Iterator[FracIdeal]:

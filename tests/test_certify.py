@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from zdcert.errors import InputDataError
 DATASET = json.loads(bundled_dataset_path().read_text())
 GOLDEN = [Path(__file__).parent / "data" / name
           for name in ("golden_bundled.json", "golden_level11_unstable.json")]
+GOLDEN_CLASSGROUP = Path(__file__).parent / "data" / "golden_classgroup.txt"
 
 
 def fresh(**overrides):
@@ -220,6 +222,17 @@ def test_cli_classgroup():
     assert _cli("classgroup", "--d", "12").returncode == 2
 
 
+def test_cli_classgroup_matches_golden_fixture(capsys):
+    # the fixture is the stdout of each listed call, under a "$ zdcert ..." header
+    expected = GOLDEN_CLASSGROUP.read_text()
+    out = []
+    for d in re.findall(r"^\$ zdcert classgroup --d (-?\d+)$", expected, re.M):
+        assert main(["classgroup", "--d", d]) == 0
+        out.append(f"$ zdcert classgroup --d {d}\n" + capsys.readouterr().out)
+    assert len(out) == 6
+    assert "".join(out) == expected
+
+
 def test_cli_unit():
     result = _cli("unit", "--d", "10")
     assert result.returncode == 0
@@ -245,3 +258,10 @@ def test_main_callable_directly(tmp_path, capsys):
     assert main(["verify", "--bundled"]) == 0
     captured = capsys.readouterr()
     assert "OVERALL: PASS" in captured.out
+
+
+def test_main_resource_limit_exits_two(capsys):
+    assert main(["classgroup", "--d", "1000003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from zdcert.errors import MismatchError, ResourceLimitError
 from zdcert.orders import (
     FracIdeal,
+    IdealClass,
     class_group,
     fundamental_unit,
     ideal_class,
@@ -20,7 +21,7 @@ from zdcert.orders import (
     trivial_class,
     unit_ideal,
 )
-from zdcert.quadratic import QuadElement, is_squarefree
+from zdcert.quadratic import QuadElement, is_squarefree, prime_divisors
 
 O10 = maximal_order(10)
 
@@ -424,6 +425,51 @@ def test_class_group_noncyclic():
     cg = class_group(maximal_order(-21))
     assert cg.invariants == (2, 2)
     assert all((c * c).is_trivial for c in cg.classes)
+
+
+def test_invariants_match_torsion_counts_by_powering():
+    # an abelian group with invariants (n_i) has prod gcd(m, n_i) elements
+    # killed by m; count them by direct powering, independently of the closure
+    orders = list(fundamental_discriminants(300))
+    orders += [maximal_order(d) for d in (-3315, 1155, 4279)]
+    for order in orders:
+        cg = class_group(order)
+        for m in range(1, cg.h + 1):
+            if cg.h % m:
+                continue
+            killed = sum(1 for c in cg.classes if (c ** m).is_trivial)
+            expected = 1
+            for n in cg.invariants:
+                expected *= gcd(m, n)
+            assert killed == expected, (order.disc, m, cg.invariants)
+    assert class_group(maximal_order(-3315)).invariants == (2, 2, 2)
+    assert class_group(maximal_order(1155)).invariants == (2, 2, 2)
+    assert class_group(maximal_order(4279)).invariants == (6,)
+
+
+def test_two_rank_matches_genus_theory_imaginary():
+    # Gauss: for disc < 0 the 2-rank of the class group is omega(disc) - 1
+    for d in range(-3000, -1):
+        if not is_squarefree(d):
+            continue
+        order = maximal_order(d)
+        even = sum(1 for n in class_group(order).invariants if n % 2 == 0)
+        assert even == len(prime_divisors(-order.disc)) - 1, d
+
+
+def test_class_group_multiplies_once_per_new_class(monkeypatch):
+    calls = 0
+    multiply = IdealClass.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(IdealClass, "__mul__", counting)
+    cg = class_group(maximal_order(-18185))
+    assert cg.invariants == (2, 80)
+    assert calls <= cg.h + cg.h.bit_length()
 
 
 def test_trivial_class_and_inverse():
