@@ -14,6 +14,7 @@ from pathlib import Path
 from .certify import load_input, run_certificate
 from .errors import InputDataError, ResourceLimitError
 from .orders import (
+    CLASS_GROUP_BOUND,
     FracIdeal,
     class_group,
     fundamental_unit,
@@ -95,6 +96,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classgroup(args) -> int:
+    # |disc| >= |d|: refuse before maximal_order's trial-division squarefree test
+    if abs(args.d) > CLASS_GROUP_BOUND:
+        raise ResourceLimitError(f"|d| = {abs(args.d)} exceeds the bound {CLASS_GROUP_BOUND}")
     order = maximal_order(args.d)
     cg = class_group(order)
     print(f"discriminant: {order.disc}")

@@ -19,9 +19,10 @@ from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, binary_power, is_prime, is_squarefree
+from .quadratic import QuadElement, Rat, _check_d, binary_power, is_prime
 
 _MAX_STEPS = 1_000_000
+CLASS_GROUP_BOUND = 10**6  # the largest |disc| class_group accepts by default
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,7 @@ class QuadOrder:
     disc: int
 
     def __init__(self, d: int):
-        if d in (0, 1) or not is_squarefree(d):
-            raise ValueError(f"order parameter must be squarefree and not 0 or 1, got {d}")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _check_d(d))
         object.__setattr__(self, "disc", d if d % 4 == 1 else 4 * d)
 
     @property
@@ -489,7 +488,7 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
     return found
 
 
-def class_group(order: QuadOrder, bound: int = 10**6) -> ClassGroup:
+def class_group(order: QuadOrder, bound: int = CLASS_GROUP_BOUND) -> ClassGroup:
     """Structure of Pic(O) from the norm <= Minkowski-bound prime ideals.
 
     Each generator class g not yet reached extends the group H reached so far

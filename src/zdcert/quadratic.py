@@ -157,9 +157,6 @@ class QuadElement:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_integral(self) -> bool:
         """True iff the element lies in the maximal order of Q(sqrt(d))."""
         if self.d % 4 == 1:

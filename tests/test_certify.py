@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ DATASET = json.loads(bundled_dataset_path().read_text())
 GOLDEN = [Path(__file__).parent / "data" / name
           for name in ("golden_bundled.json", "golden_level11_unstable.json")]
 GOLDEN_CLASSGROUP = Path(__file__).parent / "data" / "golden_classgroup.txt"
+GOLDEN_MUTATION_FAILURES = Path(__file__).parent / "data" / "golden_mutation_failures.json"
 
 
 def fresh(**overrides):
@@ -93,6 +95,18 @@ def test_single_scalar_mutations_flip_a_check(name, path, value, expected_check)
     cert = run_raw(_mutate(DATASET, path, value))
     assert cert.verdict == "fail", name
     assert expected_check in {c.name for c in cert.failed_checks}, name
+
+
+def test_mutation_failures_match_golden_fixture():
+    # the fixture maps each mutation to its ordered (failed check, detail) pairs; it pins
+    # what later checks read from failed earlier ones, e.g. a17_rational_part fails only
+    # frobenius_charpoly because distinct_fields still gets the mismatched quartics
+    expected = json.loads(GOLDEN_MUTATION_FAILURES.read_text())
+    assert list(expected) == [name for name, *_ in MUTATIONS]
+    for name, path, value, _ in MUTATIONS:
+        cert = run_raw(_mutate(DATASET, path, value))
+        got = [[c.name, c.outputs.get("detail")] for c in cert.failed_checks]
+        assert got == expected[name], name
 
 
 def test_wrong_field_fails_at_nonprincipality_too():
@@ -265,3 +279,12 @@ def test_main_resource_limit_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_main_classgroup_refuses_huge_d_before_factoring(capsys):
+    # trial division of a d this size would not finish; the |d| bound must come first
+    t0 = time.perf_counter()
+    assert main(["classgroup", "--d", "1000000000000000003"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
