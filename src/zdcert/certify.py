@@ -229,7 +229,9 @@ def load_input(path: str | Path) -> VerificationInput:
         raise InputDataError(f"cannot read input file: {exc}", str(path)) from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer over the digit limit;
+        # RecursionError, arrays or objects nested too deep
         raise InputDataError(f"invalid JSON: {exc}", str(path)) from exc
     if not isinstance(raw, dict):
         raise InputDataError("input document must be a JSON object", str(path))

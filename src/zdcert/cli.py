@@ -1,37 +1,28 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 input or usage error.
+Each subcommand's handler imports the layers it uses, so `classgroup`,
+`unit` and `principal` load only `quadratic` and `orders`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
-from .certify import load_input, run_certificate
 from .errors import InputDataError, ResourceLimitError
-from .orders import (
-    CLASS_GROUP_BOUND,
-    FracIdeal,
-    class_group,
-    fundamental_unit,
-    maximal_order,
-    principal_generator,
-)
-from .quadratic import QuadElement
-from .weil import DEFAULT_STABILITY_BOUND, frobenius_charpoly, is_ordinary
 
 BUNDLED_DATASET = "newform276.json"
 
 
 def bundled_dataset_path() -> Path:
-    return Path(str(resources.files("zdcert").joinpath("data", BUNDLED_DATASET)))
+    return Path(__file__).with_name("data") / BUNDLED_DATASET
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -39,6 +30,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .quadratic import DEFAULT_STABILITY_BOUND
+
     parser = argparse.ArgumentParser(
         prog="zdcert",
         description="Exact-arithmetic certificate for a zero-divisor pair built "
@@ -75,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from .certify import load_input, run_certificate
+
     if args.bundled == (args.file is not None):
         print("verify: provide exactly one of an input file or --bundled", file=sys.stderr)
         return 2
@@ -95,11 +90,19 @@ def _cmd_verify(args) -> int:
     return 0 if cert.verdict == "pass" else 1
 
 
-def _cmd_classgroup(args) -> int:
+def _bounded_maximal_order(d: int):
+    from .orders import CLASS_GROUP_BOUND, maximal_order
+
     # |disc| >= |d|: refuse before maximal_order's trial-division squarefree test
-    if abs(args.d) > CLASS_GROUP_BOUND:
-        raise ResourceLimitError(f"|d| = {abs(args.d)} exceeds the bound {CLASS_GROUP_BOUND}")
-    order = maximal_order(args.d)
+    if abs(d) > CLASS_GROUP_BOUND:
+        raise ResourceLimitError(f"|d| = {abs(d)} exceeds the bound {CLASS_GROUP_BOUND}")
+    return maximal_order(d)
+
+
+def _cmd_classgroup(args) -> int:
+    from .orders import class_group
+
+    order = _bounded_maximal_order(args.d)
     cg = class_group(order)
     print(f"discriminant: {order.disc}")
     print(f"class group: {cg} (h = {cg.h})")
@@ -111,13 +114,18 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_unit(args) -> int:
-    u = fundamental_unit(maximal_order(args.d))
+    from .orders import fundamental_unit
+
+    u = fundamental_unit(_bounded_maximal_order(args.d))
     print(f"fundamental unit: {u}")
     print(f"norm: {u.norm()}")
     return 0
 
 
 def _cmd_weil(args) -> int:
+    from .quadratic import QuadElement
+    from .weil import frobenius_charpoly, is_ordinary
+
     a_p = QuadElement(args.d, args.a, args.b)
     quartic = frobenius_charpoly(a_p, args.p)
     print(f"charpoly: {quartic.poly}")
@@ -127,7 +135,11 @@ def _cmd_weil(args) -> int:
 
 
 def _cmd_principal(args) -> int:
-    order = maximal_order(args.d)
+    from fractions import Fraction
+
+    from .orders import FracIdeal, principal_generator
+
+    order = _bounded_maximal_order(args.d)
     ideal = FracIdeal(order, args.a, args.b, Fraction(1, args.q))
     gen = principal_generator(ideal)
     if gen is None:
@@ -147,7 +159,16 @@ def main(argv: list[str] | None = None) -> int:
         "principal": _cmd_principal,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # inside the try, so a reader that already left is caught here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): send what is still buffered
+        # to os.devnull, so the interpreter's final flush raises nothing either
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, ZeroDivisionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

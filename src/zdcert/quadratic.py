@@ -10,6 +10,9 @@ from .errors import MismatchError
 
 Rat = int | Fraction
 
+# a root of unity in a quartic field has order m with phi(m) <= 4, so m <= 12
+DEFAULT_STABILITY_BOUND = 12
+
 
 def is_squarefree(n: int) -> bool:
     if n == 0:

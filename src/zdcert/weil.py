@@ -22,9 +22,7 @@ from .polynomials import (
     power_sums,
     rank_and_det,
 )
-from .quadratic import QuadElement, is_prime, prime_divisors
-
-DEFAULT_STABILITY_BOUND = 12
+from .quadratic import DEFAULT_STABILITY_BOUND, QuadElement, is_prime, prime_divisors
 
 
 @dataclass(frozen=True)
