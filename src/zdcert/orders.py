@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, _check_d, binary_power, is_prime
+from .quadratic import QuadElement, Rat, _check_d, _element, binary_power, is_prime
 
 _MAX_STEPS = 1_000_000
 CLASS_GROUP_BOUND = 10**6  # the largest |disc| class_group accepts by default
@@ -239,30 +240,11 @@ def _cf_step(order: QuadOrder, p: int, q: int) -> tuple[int, int]:
 def _theta(order: QuadOrder, p: int, q: int) -> QuadElement:
     # (p + sqrt(D)) / q expressed over sqrt(d)
     root_coeff = 2 if order.d % 4 != 1 else 1
-    return QuadElement(order.d, Fraction(p, q), Fraction(root_coeff, q))
+    return _element(order.d, Fraction(p, q), Fraction(root_coeff, q))
 
 
 def _state_of(ideal: FracIdeal) -> tuple[int, int]:
     return (2 * ideal.b + ideal.order.omega_trace, 2 * ideal.a)
-
-
-def _ideal_of_state(order: QuadOrder, p: int, q: int) -> FracIdeal:
-    a = q // 2
-    b = ((p % q) - order.omega_trace) // 2
-    return FracIdeal(order, a, b)
-
-
-def _reduction_orbit(order: QuadOrder, p: int, q: int) -> tuple[list[tuple[int, int]], int]:
-    """Trajectory of states until the first repeat; returns (states, cycle_start)."""
-    seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
-    while (p, q) not in seen:
-        if len(states) > _MAX_STEPS:
-            raise ResourceLimitError("reduction orbit failed to close")
-        seen[(p, q)] = len(states)
-        states.append((p, q))
-        p, q = _cf_step(order, p, q)
-    return states, seen[(p, q)]
 
 
 def is_principal(ideal: FracIdeal) -> bool:
@@ -397,20 +379,36 @@ class IdealClass:
 
 
 def ideal_class(ideal: FracIdeal) -> IdealClass:
+    return _class_of(ideal, {})
+
+
+def _class_of(ideal: FracIdeal, seen: dict[tuple[int, int], IdealClass]) -> IdealClass:
+    """The class of ideal (its scale is ignored).
+
+    Real case: walk the continued-fraction states until one is in seen or
+    the walk closes a new cycle, whose least (a, b) = (q/2, ((p mod q) -
+    tr w)/2) is the representative; every state walked is then recorded in
+    seen with the class, since each step keeps the class.
+    """
     order = ideal.order
-    prim = ideal.primitive_part()
-    if order.is_real:
-        p, q = _state_of(prim)
-        states, start = _reduction_orbit(order, p, q)
-        cycle = states[start:]
-        rep = min((_ideal_of_state(order, cp, cq) for cp, cq in cycle),
-                  key=lambda i: (i.a, i.b))
-    else:
-        a, b, c = _form_of(prim)
+    if not order.is_real:
+        a, b, c = _form_of(ideal)
         ra, rb, _ = _reduce_form(a, b, c, order.disc)
-        bw = ((rb % (2 * ra)) - order.omega_trace) // 2
-        rep = FracIdeal(order, ra, bw)
-    return IdealClass(rep)
+        return IdealClass(FracIdeal(order, ra, ((rb % (2 * ra)) - order.omega_trace) // 2))
+    state = _state_of(ideal)
+    path: dict[tuple[int, int], int] = {}
+    while state not in seen and state not in path:
+        if len(path) > _MAX_STEPS:
+            raise ResourceLimitError("reduction orbit failed to close")
+        path[state] = len(path)
+        state = _cf_step(order, *state)
+    cls = seen.get(state)
+    if cls is None:
+        tr = order.omega_trace
+        cycle = islice(path, path[state], None)
+        cls = IdealClass(FracIdeal(order, *min((q // 2, ((p % q) - tr) // 2) for p, q in cycle)))
+    seen.update(dict.fromkeys(path, cls))
+    return cls
 
 
 def trivial_class(order: QuadOrder) -> IdealClass:
@@ -481,11 +479,13 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
     """Degree-one prime ideals over p: empty when p is inert."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    found = []
-    for b in range(p):
-        if order.norm_b_plus_omega(b) % p == 0:
-            found.append(FracIdeal(order, p, b))
-    return found
+    if p > 2 and pow(order.disc, (p - 1) // 2, p) == p - 1:
+        return []  # Euler's criterion: disc is a non-residue, so p is inert
+    b = next((b for b in range(p) if order.norm_b_plus_omega(b) % p == 0), None)
+    if b is None:
+        return []
+    # the roots of x^2 + tr(w) x + N(w) mod p sum to -tr(w)
+    return [FracIdeal(order, p, r) for r in sorted({b, (-order.omega_trace - b) % p})]
 
 
 def class_group(order: QuadOrder, bound: int = CLASS_GROUP_BOUND) -> ClassGroup:
@@ -504,23 +504,27 @@ def class_group(order: QuadOrder, bound: int = CLASS_GROUP_BOUND) -> ClassGroup:
         raise ResourceLimitError(
             f"|disc| = {abs(order.disc)} exceeds the configured bound {bound}"
         )
-    mb = minkowski_bound(order)
-    gens: list[FracIdeal] = []
-    for p in range(2, mb + 1):
-        if is_prime(p):
-            gens.extend(prime_ideals_above(order, p))
+    above = [prime_ideals_above(order, p) for p in range(2, minkowski_bound(order) + 1) if is_prime(p)]
+    gens = [i for ideals in above for i in ideals]
+
+    # every continued-fraction state walked in this call, with its class
+    seen: dict[tuple[int, int], IdealClass] = {}
+
+    def times(x: IdealClass, g: IdealClass) -> IdealClass:
+        return _class_of(x.rep * g.rep, seen)
 
     # elems[i] is the product of g_j^(e_j), e = the digits of i in radices n_j
     elems = [trivial_class(order)]
     index = {elems[0]: 0}
     radices: list[int] = []
     relations: list[list[int]] = []
-    for g in dict.fromkeys(ideal_class(i) for i in gens):
+    # the conjugate prime's class is the inverse, in H once the first one is
+    for g in dict.fromkeys(_class_of(ideals[0], seen) for ideals in above if ideals):
         if g in index:
             continue
         size = len(elems)
-        while (head := elems[-size] * g) not in index:
-            for c in [head] + [x * g for x in elems[len(elems) - size + 1:]]:
+        while (head := times(elems[-size], g)) not in index:
+            for c in [head] + [times(x, g) for x in elems[len(elems) - size + 1:]]:
                 index[c] = len(elems)
                 elems.append(c)
         row, pos = [], index[head]

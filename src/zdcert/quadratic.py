@@ -93,9 +93,7 @@ class QuadElement:
     b: Fraction
 
     def __init__(self, d: int, a: Rat, b: Rat = 0):
-        object.__setattr__(self, "d", _check_d(d))
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        _set_coords(self, _check_d(d), a, b)
 
     def _same_field(self, other: "QuadElement") -> None:
         if self.d != other.d:
@@ -103,30 +101,30 @@ class QuadElement:
 
     def __add__(self, other: "QuadElement | Rat") -> "QuadElement":
         if isinstance(other, (int, Fraction)):
-            return QuadElement(self.d, self.a + other, self.b)
+            return _element(self.d, self.a + other, self.b)
         if not isinstance(other, QuadElement):
             return NotImplemented
         self._same_field(other)
-        return QuadElement(self.d, self.a + other.a, self.b + other.b)
+        return _element(self.d, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadElement":
-        return QuadElement(self.d, -self.a, -self.b)
+        return _element(self.d, -self.a, -self.b)
 
     def __sub__(self, other: "QuadElement | Rat") -> "QuadElement":
-        return self + (-other if isinstance(other, QuadElement) else QuadElement(self.d, -Fraction(other), 0))
+        return self + (-other if isinstance(other, QuadElement) else _element(self.d, -Fraction(other), 0))
 
     def __rsub__(self, other: Rat) -> "QuadElement":
-        return QuadElement(self.d, other) - self
+        return _element(self.d, other) - self
 
     def __mul__(self, other: "QuadElement | Rat") -> "QuadElement":
         if isinstance(other, (int, Fraction)):
-            return QuadElement(self.d, self.a * other, self.b * other)
+            return _element(self.d, self.a * other, self.b * other)
         if not isinstance(other, QuadElement):
             return NotImplemented
         self._same_field(other)
-        return QuadElement(
+        return _element(
             self.d,
             self.a * other.a + self.d * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -136,7 +134,7 @@ class QuadElement:
 
     def __truediv__(self, other: "QuadElement | Rat") -> "QuadElement":
         if isinstance(other, (int, Fraction)):
-            return QuadElement(self.d, self.a / other, self.b / other)
+            return _element(self.d, self.a / other, self.b / other)
         self._same_field(other)
         n = other.norm()
         if n == 0:
@@ -145,11 +143,11 @@ class QuadElement:
 
     def __pow__(self, n: int) -> "QuadElement":
         if n < 0:
-            return (QuadElement(self.d, 1) / self) ** (-n)
-        return binary_power(self, n, QuadElement(self.d, 1))
+            return (_element(self.d, 1) / self) ** (-n)
+        return binary_power(self, n, _element(self.d, 1))
 
     def conjugate(self) -> "QuadElement":
-        return QuadElement(self.d, self.a, -self.b)
+        return _element(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
@@ -186,11 +184,11 @@ class QuadElement:
         return 1 if lhs < rhs else -1
 
     def __lt__(self, other: "QuadElement | Rat") -> bool:
-        diff = self - (other if isinstance(other, QuadElement) else QuadElement(self.d, other))
+        diff = self - (other if isinstance(other, QuadElement) else _element(self.d, other))
         return diff.sign() < 0
 
     def __gt__(self, other: "QuadElement | Rat") -> bool:
-        diff = self - (other if isinstance(other, QuadElement) else QuadElement(self.d, other))
+        diff = self - (other if isinstance(other, QuadElement) else _element(self.d, other))
         return diff.sign() > 0
 
     def __str__(self) -> str:
@@ -201,6 +199,19 @@ class QuadElement:
         if self.a == 0:
             return bpart if self.b > 0 else f"-{bpart}"
         return f"{self.a} {'+' if self.b > 0 else '-'} {bpart}"
+
+
+def _set_coords(x: QuadElement, d: int, a: Rat, b: Rat) -> None:
+    object.__setattr__(x, "d", d)
+    object.__setattr__(x, "a", Fraction(a))
+    object.__setattr__(x, "b", Fraction(b))
+
+
+def _element(d: int, a: Rat, b: Rat = 0) -> QuadElement:
+    """QuadElement(d, a, b) for a d that was already validated: skips _check_d."""
+    x = object.__new__(QuadElement)
+    _set_coords(x, d, a, b)
+    return x
 
 
 def sqrt_of(d: int) -> QuadElement:

@@ -7,7 +7,6 @@ import pytest
 from zdcert.errors import MismatchError, ResourceLimitError
 from zdcert.orders import (
     FracIdeal,
-    IdealClass,
     class_group,
     fundamental_unit,
     ideal_class,
@@ -21,7 +20,7 @@ from zdcert.orders import (
     trivial_class,
     unit_ideal,
 )
-from zdcert.quadratic import QuadElement, is_squarefree, prime_divisors
+from zdcert.quadratic import QuadElement, is_prime, is_squarefree, prime_divisors
 
 O10 = maximal_order(10)
 
@@ -333,6 +332,18 @@ def test_class_group_respects_bound():
         class_group(O10, bound=10)
 
 
+def test_prime_ideals_above_match_brute_scan():
+    primes = [p for p in range(2, 400) if all(p % f for f in range(2, p))]
+    for d in range(-500, 501):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        order = maximal_order(d)
+        tr, n = order.omega_trace, order.omega_norm
+        for p in primes:
+            brute = [b for b in range(p) if (b * b + tr * b + n) % p == 0]  # p | N(b + w)
+            assert prime_ideals_above(order, p) == [FracIdeal(order, p, b) for b in brute], (d, p)
+
+
 def test_prime_ideal_splitting():
     # 3 splits in Z[sqrt(10)]: two primes with b in {1, 2}
     split = prime_ideals_above(O10, 3)
@@ -459,17 +470,69 @@ def test_two_rank_matches_genus_theory_imaginary():
 
 def test_class_group_multiplies_once_per_new_class(monkeypatch):
     calls = 0
-    multiply = IdealClass.__mul__
+    multiply = FracIdeal.__mul__
 
     def counting(self, other):
         nonlocal calls
         calls += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(IdealClass, "__mul__", counting)
-    cg = class_group(maximal_order(-18185))
-    assert cg.invariants == (2, 80)
-    assert calls <= cg.h + cg.h.bit_length()
+    monkeypatch.setattr(FracIdeal, "__mul__", counting)
+    for d, invariants in ((-18185, (2, 80)), (999961, (3,)), (4279, (6,))):
+        calls = 0
+        cg = class_group(maximal_order(d))
+        assert cg.invariants == invariants
+        assert calls <= cg.h + cg.h.bit_length(), d
+
+
+def test_class_group_classes_match_fresh_reductions_real():
+    # class_group shares its cycle states across reductions; a fresh public
+    # ideal_class of every ideal up to the Minkowski bound must give the same set
+    for d in [d for d in range(2, 2001) if is_squarefree(d)] + [100003, 999961]:
+        order = maximal_order(d)
+        cg = class_group(order)
+        fresh = {ideal_class(i) for i in ideals_of_norm_up_to(order, minkowski_bound(order))}
+        assert fresh == set(cg.classes), order.d
+
+
+def test_conjugate_prime_class_is_inverse():
+    for d in (10, 79, 1155, 4279, 19999, -23, -3315, -18185):
+        order = maximal_order(d)
+        for p in range(2, minkowski_bound(order) + 1):
+            if not is_prime(p):
+                continue
+            above = prime_ideals_above(order, p)
+            if len(above) == 2:
+                first, second = above
+                assert first.conjugate() == second
+                assert ideal_class(first.conjugate()) == ideal_class(first).inverse() == ideal_class(second)
+
+
+def test_class_group_reduces_one_ideal_per_prime_and_each_state_once(monkeypatch):
+    from zdcert import orders
+
+    order = maximal_order(999961)
+    primes = [p for p in range(2, minkowski_bound(order) + 1)
+              if is_prime(p) and prime_ideals_above(order, p)]
+    reductions, steps = 0, []
+    state_of, cf_step = orders._state_of, orders._cf_step
+
+    def counting_state_of(ideal):
+        nonlocal reductions
+        reductions += 1
+        return state_of(ideal)
+
+    def recording_cf_step(o, p, q):
+        steps.append((p, q))
+        return cf_step(o, p, q)
+
+    monkeypatch.setattr(orders, "_state_of", counting_state_of)
+    monkeypatch.setattr(orders, "_cf_step", recording_cf_step)
+    cg = class_group(order)
+    assert cg.invariants == (3,)
+    # one reduction per prime with an ideal above it, plus one per coset product
+    assert reductions <= len(primes) + cg.h + cg.h.bit_length()
+    assert len(steps) == len(set(steps))
 
 
 def test_trivial_class_and_inverse():

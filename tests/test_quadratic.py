@@ -27,6 +27,26 @@ def test_field_parameter_validation():
             QuadElement(bad, 1, 1)
 
 
+def test_arithmetic_validates_d_once(monkeypatch):
+    # results inherit d from a checked operand; only the public constructor checks
+    from zdcert import quadratic
+    from zdcert.orders import fundamental_unit, maximal_order
+
+    calls = 0
+    check = quadratic.is_squarefree
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return check(n)
+
+    monkeypatch.setattr(quadratic, "is_squarefree", counting)
+    fundamental_unit(maximal_order(999983))
+    assert calls <= 2
+    with pytest.raises(ValueError):
+        QuadElement(999983 * 4, 1)
+
+
 def test_mixed_fields_rejected():
     x = QuadElement(10, 1, 1)
     y = QuadElement(2, 1, 1)
