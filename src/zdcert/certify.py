@@ -26,6 +26,7 @@ from typing import Any
 from .errors import DeductionRefused, InputDataError, InvalidEigenvalueError
 from .monoidring import AVMonoid, albanese_image, zero_divisor_witness
 from .orders import (
+    CLASS_GROUP_BOUND,
     FracIdeal,
     IdealClass,
     QuadOrder,
@@ -52,6 +53,14 @@ COMPUTED = "computed"
 ASSUMED = "assumed-by-citation"
 
 BASE_TAG = "A"
+
+# size caps of parse_input, checked before any trial division: the level is
+# factored by trial division up to its square root, so 10^12 keeps that within
+# 10^6 steps; the eigenvalue primes share the bound, far inside is_prime's proven
+# range, and with MAX_STABILITY_BOUND it keeps the power sums of the stability
+# sweep (about 3 * bound * log2(p) bits) small
+LEVEL_BOUND = 10**12
+PRIME_BOUND = 10**12
 
 
 @dataclass
@@ -155,8 +164,15 @@ def _require(raw: dict, key: str, kind, location: str):
 
 
 def parse_input(raw: dict[str, Any]) -> VerificationInput:
+    """The validated input, or a located InputDataError; sizes are capped before any factoring."""
+    if not isinstance(raw, dict):
+        raise InputDataError("input document must be a JSON object")
     level = _require(raw, "level", int, "level")
+    if level > LEVEL_BOUND:
+        raise InputDataError(f"level exceeds the bound {LEVEL_BOUND}", "level")
     d = _require(raw, "hecke_field_d", int, "hecke_field_d")
+    if abs(d) > CLASS_GROUP_BOUND:
+        raise InputDataError(f"|hecke_field_d| exceeds the bound {CLASS_GROUP_BOUND}", "hecke_field_d")
     expected_dim = _require(raw, "expected_dim", int, "expected_dim")
     eigen_raw = _require(raw, "eigenvalues", list, "eigenvalues")
 
@@ -166,6 +182,8 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
         if not isinstance(entry, dict):
             raise InputDataError("eigenvalue entries must be objects", loc)
         p = _require(entry, "p", int, loc)
+        if p > PRIME_BOUND:
+            raise InputDataError(f"eigenvalue prime exceeds the bound {PRIME_BOUND}", loc)
         coords = _require(entry, "a", list, loc)
         if len(coords) != 4 or not all(isinstance(c, int) for c in coords):
             raise InputDataError(
@@ -225,7 +243,7 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
 def load_input(path: str | Path) -> VerificationInput:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read input file: {exc}", str(path)) from exc
     try:
         raw = json.loads(text)
@@ -348,7 +366,8 @@ def _check_distinct_fields(run: _Run, check: Check) -> str | None:
 def _check_endomorphism_ring(run: _Run, check: Check) -> str | None:
     try:
         conclusion = deduce_endomorphism_ring(
-            run.order.d, run.certs.get(run.p1), run.certs.get(run.p2), run.distinctness
+            run.order.d, run.certs.get(run.p1), run.certs.get(run.p2), run.distinctness,
+            conductor=run.inp.datum.hecke_conductor,
         )
     except DeductionRefused as exc:
         return f"deduction refused: {exc}"

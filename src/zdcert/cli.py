@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     from .certify import load_input, run_certificate
+    from .quadratic import MAX_STABILITY_BOUND
 
     if args.bundled == (args.file is not None):
         print("verify: provide exactly one of an input file or --bundled", file=sys.stderr)
@@ -81,6 +82,9 @@ def _cmd_verify(args) -> int:
         return 2
     if args.bound < 2:
         print("--bound must be at least 2", file=sys.stderr)
+        return 2
+    if args.bound > MAX_STABILITY_BOUND:
+        print(f"--bound must be at most {MAX_STABILITY_BOUND}", file=sys.stderr)
         return 2
     cert = run_certificate(inp, bound=args.bound)
     print(cert.render_text())

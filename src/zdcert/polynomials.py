@@ -1,4 +1,4 @@
-"""Integer polynomials: exact arithmetic, resultants, discriminants, power sums, quartic factorization.
+"""Integer polynomials: exact arithmetic, resultants, discriminants, power sums.
 
 Coefficients are arbitrary-precision integers, constant term first, with no
 trailing zeros stored; the zero polynomial is the empty tuple.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .quadratic import binary_power, exact_isqrt
@@ -86,12 +85,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -211,112 +204,3 @@ def is_rational_square(q: int | Fraction) -> bool:
     if q < 0:
         return False
     return exact_isqrt(q.numerator) is not None and exact_isqrt(q.denominator) is not None
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
-
-
-def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Quotient f / g when the division is exact over Z; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(f.coeffs)
-    out = [0] * max(f.degree - g.degree + 1, 0)
-    for i in range(f.degree - g.degree, -1, -1):
-        c, r = divmod(rem[i + g.degree], g.lc)
-        if r:
-            raise ValueError("division is not exact over Z")
-        out[i] = c
-        for j, gc in enumerate(g.coeffs):
-            rem[i + j] -= c * gc
-    if any(rem):
-        raise ValueError("division is not exact over Z")
-    return IntPoly(out)
-
-
-def _integer_root(f: IntPoly) -> int | None:
-    """Some integer root of a monic f, or None (rational-root test)."""
-    if f[0] == 0:
-        return 0
-    for r in _divisors(f[0]):
-        for s in (r, -r):
-            if f.eval(s) == 0:
-                return s
-    return None
-
-
-def factor_quartic(f: IntPoly) -> list[IntPoly]:
-    """Factor a monic primitive quartic into monic irreducible integer factors.
-
-    A singleton result is an irreducibility certificate: the rational-root
-    test and the exhaustive search over monic quadratic factor pairs
-    (x^2+ax+b)(x^2+cx+e) with b*e = f(0) both came up empty.
-    """
-    if f.degree != 4:
-        raise ValueError("factor_quartic requires degree exactly 4")
-    if not f.is_monic():
-        raise ValueError("factor_quartic requires a monic polynomial")
-    if f.content() != 1:
-        raise ValueError("factor_quartic requires a primitive polynomial")
-
-    factors: list[IntPoly] = []
-    g = f
-    while g.degree > 0:
-        r = _integer_root(g)
-        if r is None:
-            break
-        factors.append(IntPoly((-r, 1)))
-        g = exact_div(g, IntPoly((-r, 1)))
-
-    if g.degree <= 0:
-        return sorted(factors, key=lambda p: p.coeffs)
-    if g.degree in (2, 3):
-        # no rational roots, so degree 2 or 3 means irreducible
-        factors.append(g)
-        return sorted(factors, key=lambda p: p.coeffs)
-
-    f3, f2, f1, f0 = g[3], g[2], g[1], g[0]
-    for b in _divisors(f0):
-        for b_signed in (b, -b):
-            e, rem = divmod(f0, b_signed)
-            if rem:
-                continue
-            # (x^2+ax+b)(x^2+cx+e): a+c = f3, b+e+ac = f2, ae+bc = f1
-            if b_signed != e:
-                num = f1 - f3 * b_signed
-                den = e - b_signed
-                a, rem = divmod(num, den)
-                if rem:
-                    continue
-                c = f3 - a
-                if b_signed + e + a * c != f2:
-                    continue
-            else:
-                if b_signed * f3 != f1:
-                    continue
-                disc = f3 * f3 - 4 * (f2 - 2 * b_signed)
-                s = exact_isqrt(disc)
-                if s is None:
-                    continue
-                if (f3 + s) % 2:
-                    continue
-                a = (f3 + s) // 2
-                c = f3 - a
-            q1 = IntPoly((b_signed, a, 1))
-            q2 = IntPoly((e, c, 1))
-            assert q1 * q2 == g
-            return sorted(factors + [q1, q2], key=lambda p: p.coeffs)
-    return sorted(factors + [g], key=lambda p: p.coeffs)
-
-
-def is_irreducible_quartic(f: IntPoly) -> bool:
-    return len(factor_quartic(f)) == 1
-

@@ -6,12 +6,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import MismatchError
+from .errors import MismatchError, ResourceLimitError
 
 Rat = int | Fraction
 
 # a root of unity in a quartic field has order m with phi(m) <= 4, so m <= 12
 DEFAULT_STABILITY_BOUND = 12
+# the largest bound the CLI accepts; the sweep's cost grows like bound^2.5
+MAX_STABILITY_BOUND = 100
 
 
 def is_squarefree(n: int) -> bool:
@@ -30,18 +32,36 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+# Miller-Rabin to the first 13 prime bases is proven correct for every n below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); is_prime answers only there
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981  # psi_13
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_TEST_BOUND; ResourceLimitError above it."""
+    if n >= PRIME_TEST_BOUND:
+        raise ResourceLimitError(f"primality is decided only below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:  # trial division settles every n < 41^2
+        if n % q == 0:
+            return n == q
+        if q * q > n:
+            return True
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for q in _MR_BASES:
+        x = pow(q, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -10,19 +10,11 @@ the discriminant-ratio test separating the two quartic fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
-from .polynomials import (
-    IntPoly,
-    discriminant,
-    is_irreducible_quartic,
-    is_rational_square,
-    power_sums,
-    rank_and_det,
-)
-from .quadratic import DEFAULT_STABILITY_BOUND, QuadElement, is_prime, prime_divisors
+from .polynomials import IntPoly, is_rational_square, power_sums, rank_and_det
+from .quadratic import DEFAULT_STABILITY_BOUND, QuadElement, exact_isqrt, is_prime, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -50,6 +42,16 @@ class WeilQuartic:
     @property
     def c2(self) -> int:
         return self.poly[2]
+
+    def factor_data(self) -> tuple[int, int, int]:
+        """(t, D, N) of the quadratic factor g = x^2 - alpha x + p, where self = g * conj(g).
+
+        t = alpha + conj(alpha) = -c3 and n = alpha conj(alpha) = c2 - 2p give
+        D = t^2 - 4n, so alpha = (t + sqrt(D))/2, and N = n^2 - 4p(t^2 - 2n) + 16p^2,
+        the cofactor in disc = p^2 D^2 N.
+        """
+        p, t, n = self.p, -self.c3, self.c2 - 2 * self.p
+        return t, t * t - 4 * n, n * n - 4 * p * (t * t - 2 * n) + 16 * p * p
 
     def __str__(self) -> str:
         return f"{self.poly} over F_{self.p}"
@@ -79,6 +81,35 @@ def frobenius_charpoly(a_p: QuadElement, p: int) -> WeilQuartic:
     t, n = int(t), int(n)
     poly = IntPoly((p * p, -p * t, n + 2 * p, -t, 1))
     return WeilQuartic(p, poly)
+
+
+def _is_square_in(u: int, v: int, disc: int) -> bool:
+    """Whether u + v*sqrt(disc) is a square in Q(sqrt(disc)), for a nonsquare integer disc.
+
+    (r + s sqrt(disc))^2 = u + v sqrt(disc) forces r^2 - disc s^2 = +-m with
+    m^2 = u^2 - disc v^2, so 2r^2 = u +- m; for r != 0, s = v/(2r) then solves
+    the system.  r = 0 is possible only for v = 0, with u = disc s^2.
+    """
+    m = exact_isqrt(u * u - disc * v * v)
+    if m is None:
+        return False
+    if v == 0 and exact_isqrt(u * disc) is not None:
+        return True
+    return any(w > 0 and exact_isqrt(2 * w) is not None for w in (u + m, u - m))
+
+
+def is_irreducible(quartic: WeilQuartic) -> bool:
+    """Irreducibility over Q, read off the quadratic factor g = x^2 - alpha x + p.
+
+    A root pi of g generates a field holding alpha = pi + p/pi, so
+    [Q(pi) : Q] = 4 exactly when alpha is irrational (D not a square) and the
+    discriminant alpha^2 - 4p of g is not a square in Q(alpha) = Q(sqrt(D)).
+    Over Z: 4(alpha^2 - 4p) = (t^2 + D - 16p) + 2t sqrt(D), of norm 16N.
+    """
+    t, disc, _ = quartic.factor_data()
+    if exact_isqrt(disc) is not None:
+        return False
+    return not _is_square_in(t * t + disc - 16 * quartic.p, 2 * t, disc)
 
 
 def is_ordinary(quartic: WeilQuartic) -> bool:
@@ -121,7 +152,7 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
     """
     if bound < 2:
         raise ValueError("stability bound must be at least 2")
-    if not is_irreducible_quartic(quartic.poly):
+    if not is_irreducible(quartic):
         raise ValueError("stability requires an irreducible Weil quartic")
     deg = quartic.poly.degree
     s = power_sums(quartic.poly, 2 * (deg - 1) * bound)
@@ -137,13 +168,15 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
 def distinct_fields_certificate(q1: WeilQuartic, q2: WeilQuartic) -> str:
     """'distinct' when disc(q1)/disc(q2) is not a rational square, else 'inconclusive'.
 
+    With disc = p^2 D^2 N (see WeilQuartic.factor_data), and D, N nonzero for
+    an irreducible quartic, the ratio is a square iff N1 * N2 is.
     One-sided: a square ratio never certifies that the fields agree.
     """
     for q in (q1, q2):
-        if not is_irreducible_quartic(q.poly):
+        if not is_irreducible(q):
             raise ValueError("distinctness test requires irreducible quartics")
-    ratio = Fraction(discriminant(q1.poly), discriminant(q2.poly))
-    return "distinct" if not is_rational_square(ratio) else "inconclusive"
+    square = is_rational_square(q1.factor_data()[2] * q2.factor_data()[2])
+    return "distinct" if not square else "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -167,7 +200,7 @@ class ReductionCertificate:
 
 def certify_reduction(a_p: QuadElement, p: int, bound: int = DEFAULT_STABILITY_BOUND) -> ReductionCertificate:
     quartic = frobenius_charpoly(a_p, p)
-    irreducible = is_irreducible_quartic(quartic.poly)
+    irreducible = is_irreducible(quartic)
     stability = endomorphism_stability(quartic, bound) if irreducible else None
     return ReductionCertificate(quartic, irreducible, is_ordinary(quartic), stability)
 
@@ -184,13 +217,17 @@ def deduce_endomorphism_ring(
     cert1: ReductionCertificate | None,
     cert2: ReductionCertificate | None,
     distinctness: str,
+    *,
+    conductor: int,
 ) -> EndomorphismConclusion:
     """Conclude End = maximal order of Q(sqrt(d)) from the three certificates.
 
     The endomorphism algebra embeds in both quartic fields; if those are
     distinct its dimension is at most 2, and containing Q(sqrt(d)) pushes it
-    to exactly 2.  Refuses (naming the gap) unless every certificate is
-    present and positive.
+    to exactly 2.  End contains the ring the Hecke eigenvalues generate,
+    Z + conductor * O (NewformDatum.hecke_conductor), which reaches the maximal
+    order O only for conductor 1.  Refuses (naming the gap) unless every
+    certificate is present and positive and the conductor is 1.
     """
     for label, cert in (("first reduction", cert1), ("second reduction", cert2)):
         if cert is None:
@@ -209,6 +246,10 @@ def deduce_endomorphism_ring(
         )
     assert cert1 is not None and cert2 is not None
     d = known_subring_d
+    if conductor != 1:
+        raise DeductionRefused(
+            f"the Hecke eigenvalues generate Z + {conductor}O, not the maximal order O of Q(√{d})"
+        )
     ring = f"Z[√{d}]" if d % 4 != 1 else f"Z[(1+√{d})/2]"
     hypotheses = (
         f"End tensor Q embeds in Q[x]/(P) for P = {cert1.quartic} "
@@ -258,4 +299,15 @@ class NewformDatum:
 
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)
+
+    @property
+    def hecke_conductor(self) -> int:
+        """f with Z[a_p : p supplied] = Z + f O for the maximal order O = Z[omega].
+
+        a_p = x + y sqrt(d) has omega-part y, or 2y when d = 1 (mod 4) and
+        omega = (1 + sqrt(d))/2; f is the gcd of the omega-parts (Cohen, A Course
+        in Computational Algebraic Number Theory, 5.2), 0 when every a_p is rational.
+        """
+        scale = 2 if self.hecke_field_d % 4 == 1 else 1
+        return gcd(*(int(scale * a_p.b) for a_p in self.eigenvalues.values()))
 

@@ -110,7 +110,7 @@ def test_criterion_4_reduction_pipeline():
     assert cert17.stability.stable and cert19.stability.stable
     distinct = distinct_fields_certificate(cert17.quartic, cert19.quartic)
     assert distinct == "distinct"
-    conclusion = deduce_endomorphism_ring(10, cert17, cert19, distinct)
+    conclusion = deduce_endomorphism_ring(10, cert17, cert19, distinct, conductor=1)  # √10-parts -1, 1
     assert "Z[√10]" in conclusion.conclusion
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5

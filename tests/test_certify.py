@@ -150,6 +150,30 @@ def test_input_validation_errors():
         assert location in str(err.value), raw
 
 
+# a_p in Z[√65], which has index 2 in the maximal order Z[(1+√65)/2]; every other
+# check passes, so only the conductor of the eigenvalue order stops the deduction
+CONDUCTOR_2_DATASET = {
+    "level": 1,
+    "hecke_field_d": 65,
+    "expected_dim": 2,
+    "eigenvalues": [{"p": 23, "a": [-1, 1, 1, 1]}, {"p": 29, "a": [-2, 1, -1, 1]}],
+    "ideal": {"a": 2, "b": 0, "q": 1},
+}
+
+
+def test_eigenvalues_of_a_nonmaximal_order_refuse_the_deduction():
+    cert = run_raw(CONDUCTOR_2_DATASET)
+    assert cert.verdict == "fail"
+    assert [c.name for c in cert.failed_checks] == ["endomorphism_ring"]
+    detail = cert.failed_checks[0].outputs["detail"]
+    assert detail == ("deduction refused: the Hecke eigenvalues generate Z + 2O, "
+                      "not the maximal order O of Q(√65)")
+    # one eigenvalue with omega-part 1 makes the eigenvalue order maximal again
+    raw = copy.deepcopy(CONDUCTOR_2_DATASET)
+    raw["eigenvalues"].append({"p": 31, "a": [1, 2, 1, 2]})  # (1 + √65)/2 = ω
+    assert run_raw(raw).verdict == "pass"
+
+
 def test_custom_stability_bound_recorded():
     cert = run_raw(DATASET, bound=5)
     assert cert.verdict == "pass"

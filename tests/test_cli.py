@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zdcert
-from zdcert.cli import main
+from zdcert.cli import bundled_dataset_path, main
 
 SRC = Path(zdcert.__file__).resolve().parent.parent
 GOLDEN_HELP = Path(__file__).parent / "data" / "golden_help.json"
@@ -85,3 +85,31 @@ def test_hostile_json_is_a_located_input_error(tmp_path, capsys, text):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {path}: invalid JSON:")
+
+
+def _bundled_with(**changes):
+    raw = json.loads(bundled_dataset_path().read_text())
+    raw.update(changes)
+    return raw
+
+
+_EXTRA_PRIME = _bundled_with()
+_EXTRA_PRIME["eigenvalues"].append({"p": 10**18 + 9, "a": [0, 1, 0, 1]})  # prime, and a_p = 0 obeys the Weil bound
+
+
+# each is refused before the trial division or stability sweep it would start, which would run for hours
+@pytest.mark.parametrize("raw,extra,message", [
+    (_bundled_with(level=2**61 - 1), [], "level: level exceeds the bound"),
+    (_EXTRA_PRIME, [], "eigenvalues[2]: eigenvalue prime exceeds the bound"),
+    (_bundled_with(hecke_field_d=3 * (2**61 - 1)), [], "hecke_field_d: |hecke_field_d| exceeds the bound"),
+    (None, ["--bound", "100000"], "--bound must be at most"),
+], ids=["level-2^61-1", "extra-prime-10^18+9", "d-3*(2^61-1)", "bound-100000"])
+def test_oversized_input_exits_two_at_once(tmp_path, raw, extra, message):
+    if raw is None:
+        source = ["--bundled"]
+    else:
+        source = [str(tmp_path / "input.json")]
+        Path(source[0]).write_text(json.dumps(raw))
+    result = _python("-m", "zdcert", "verify", *source, *extra, capture_output=True, timeout=2)
+    assert result.returncode == 2
+    assert message in result.stderr and result.stdout == ""

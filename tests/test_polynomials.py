@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 
@@ -9,9 +9,6 @@ from zdcert.polynomials import (
     IntPoly,
     X,
     discriminant,
-    exact_div,
-    factor_quartic,
-    is_irreducible_quartic,
     is_rational_square,
     power_sums,
     rank_and_det,
@@ -146,6 +143,96 @@ def test_quartic_discriminant_formula_agreement_random():
         assert discriminant(f) == quartic_disc_formula(f)
 
 
+# Test-local oracle: a general factorization of monic integer quartics by the
+# rational-root test and an exhaustive search over monic quadratic factor pairs
+# (Gauss's lemma makes factoring over Z the same as over Q).  It knows nothing
+# of the Weil shape, so test_weil checks the closed-form irreducibility against it.
+
+
+def divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    for i in range(1, isqrt(n) + 1):
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+    return small + large[::-1]
+
+
+def content(f: IntPoly) -> int:
+    return gcd(*f.coeffs)
+
+
+def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Quotient f / g when the division is exact over Z; raises otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = list(f.coeffs)
+    out = [0] * max(f.degree - g.degree + 1, 0)
+    for i in range(f.degree - g.degree, -1, -1):
+        c, r = divmod(rem[i + g.degree], g.lc)
+        if r:
+            raise ValueError("division is not exact over Z")
+        out[i] = c
+        for j, gc in enumerate(g.coeffs):
+            rem[i + j] -= c * gc
+    if any(rem):
+        raise ValueError("division is not exact over Z")
+    return IntPoly(out)
+
+
+def integer_root(f: IntPoly) -> int | None:
+    """Some integer root of a monic f, or None (rational-root test)."""
+    if f[0] == 0:
+        return 0
+    for r in divisors(f[0]):
+        for s in (r, -r):
+            if f.eval(s) == 0:
+                return s
+    return None
+
+
+def factor_quartic(f: IntPoly) -> list[IntPoly]:
+    """Monic irreducible integer factors of a monic primitive quartic, sorted by coefficients."""
+    if f.degree != 4:
+        raise ValueError("factor_quartic requires degree exactly 4")
+    if not f.is_monic():
+        raise ValueError("factor_quartic requires a monic polynomial")
+    if content(f) != 1:
+        raise ValueError("factor_quartic requires a primitive polynomial")
+    factors: list[IntPoly] = []
+    g = f
+    while g.degree > 0 and (r := integer_root(g)) is not None:
+        factors.append(IntPoly((-r, 1)))
+        g = exact_div(g, IntPoly((-r, 1)))
+    if g.degree == 4:
+        # no linear factor: any split is (x^2 + a x + b)(x^2 + c x + e) with b e = g(0),
+        # a + c = g3 and a e + b c = g1, so a is fixed once b != e
+        g3, g2, g1, g0 = g[3], g[2], g[1], g[0]
+        for b in (s * r for r in divisors(g0) for s in (1, -1)):
+            e = g0 // b
+            if b * e != g0:
+                continue
+            if b != e:
+                a, rem = divmod(g1 - g3 * b, e - b)
+                candidates = [] if rem else [a]
+            else:
+                root = isqrt(max(g3 * g3 - 4 * (g2 - 2 * b), 0))
+                candidates = [(g3 + root) // 2, (g3 - root) // 2]
+            for a in candidates:
+                q1, q2 = IntPoly((b, a, 1)), IntPoly((e, g3 - a, 1))
+                if q1 * q2 == g:
+                    return sorted(factors + [q1, q2], key=lambda p: p.coeffs)
+    if g.degree > 0:
+        factors.append(g)
+    return sorted(factors, key=lambda p: p.coeffs)
+
+
+def is_irreducible_quartic(f: IntPoly) -> bool:
+    return len(factor_quartic(f)) == 1
+
+
 def test_factor_quartic_examples():
     assert factor_quartic(IntPoly((4, 0, 0, 0, 1))) == [
         IntPoly((2, -2, 1)),
@@ -161,10 +248,7 @@ def test_factor_quartic_with_linear_factors():
     f = poly_from_roots([1, -2]) * IntPoly((3, 1, 1))
     factors = factor_quartic(f)
     assert sorted(p.degree for p in factors) == [1, 1, 2]
-    prod = IntPoly((1,))
-    for p in factors:
-        prod = prod * p
-    assert prod == f
+    assert prod(factors, start=IntPoly((1,))) == f
 
 
 def test_factor_quartic_domain_errors():
@@ -184,20 +268,17 @@ def test_factor_quartic_recovers_random_quadratic_splits():
         f = q1 * q2
         factors = factor_quartic(f)
         assert len(factors) >= 2
-        prod = IntPoly((1,))
-        for p in factors:
-            assert p.is_monic()
-            prod = prod * p
-        assert prod == f
+        assert all(p.is_monic() for p in factors)
+        assert prod(factors, start=IntPoly((1,))) == f
 
 
 def test_irreducible_random_quartics_have_no_roots_or_splits():
-    # spot-check the irreducibility certificate against exhausting values
+    # spot-check the irreducibility verdict against exhausting values
     rng = random.Random(20260816)
     checked = 0
     while checked < 50:
         f = IntPoly([rng.randint(-9, 9) for _ in range(4)] + [1])
-        if f.content() != 1 or not is_irreducible_quartic(f):
+        if content(f) != 1 or not is_irreducible_quartic(f):
             continue
         checked += 1
         for r in range(-12, 13):

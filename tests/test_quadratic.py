@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from zdcert.errors import MismatchError
-from zdcert.quadratic import QuadElement, is_prime, is_squarefree, sqrt_of
+from zdcert.errors import MismatchError, ResourceLimitError
+from zdcert.quadratic import PRIME_TEST_BOUND, QuadElement, is_prime, is_squarefree, sqrt_of
 
 
 def test_norm_trace_examples():
@@ -134,3 +135,30 @@ def test_integer_helpers():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_squarefree(10) and is_squarefree(-5)
     assert not is_squarefree(12) and not is_squarefree(0) and not is_squarefree(-9)
+
+
+def test_is_prime_matches_trial_division_below_100000():
+    primes: list[int] = []
+    for n in range(-5, 100_000):
+        prime = n >= 2 and all(n % q for q in itertools.takewhile(lambda q: q * q <= n, primes))
+        if prime:
+            primes.append(n)
+        assert is_prime(n) == prime, n
+    assert len(primes) == 9592
+
+
+# Carmichael numbers, then the least strong pseudoprimes to the first k prime bases
+# for k = 1, 3, 4, 5, 6, 7, 9 and 12 (the last two fool every base below 41)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+STRONG_PSEUDOPRIMES = (2047, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_rejects_pseudoprimes_and_stops_at_its_proven_bound():
+    assert not any(is_prime(n) for n in CARMICHAEL + STRONG_PSEUDOPRIMES)
+    largest = PRIME_TEST_BOUND - 168  # the largest prime below psi_13
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9) and is_prime(largest)
+    assert not any(is_prime(n) for n in range(largest + 1, PRIME_TEST_BOUND))
+    for n in (PRIME_TEST_BOUND, 2**89 - 1):  # psi_13 itself, and a Mersenne prime above it
+        with pytest.raises(ResourceLimitError):
+            is_prime(n)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from zdcert.errors import DeductionRefused, InvalidEigenvalueError
-from zdcert.polynomials import IntPoly, discriminant, is_irreducible_quartic, is_rational_square, power_sums
+from zdcert.polynomials import IntPoly, discriminant, is_rational_square, power_sums
 from zdcert.quadratic import QuadElement, is_prime
 from zdcert.weil import (
     NewformDatum,
@@ -15,10 +16,11 @@ from zdcert.weil import (
     distinct_fields_certificate,
     endomorphism_stability,
     frobenius_charpoly,
+    is_irreducible,
     is_ordinary,
 )
 
-from test_polynomials import fraction_rank
+from test_polynomials import fraction_rank, is_irreducible_quartic
 
 EIGEN_17 = QuadElement(10, 4, -1)
 EIGEN_19 = QuadElement(10, 2, 1)
@@ -265,7 +267,7 @@ def test_deduction_happy_path():
     cert17 = certify_reduction(EIGEN_17, 17)
     cert19 = certify_reduction(EIGEN_19, 19)
     assert cert17.positive and cert19.positive
-    conclusion = deduce_endomorphism_ring(10, cert17, cert19, "distinct")
+    conclusion = deduce_endomorphism_ring(10, cert17, cert19, "distinct", conductor=1)
     assert "Z[√10]" in conclusion.conclusion
     assert len(conclusion.hypotheses) == 4
 
@@ -274,9 +276,9 @@ def test_deduction_refused_on_any_gap():
     cert17 = certify_reduction(EIGEN_17, 17)
     cert19 = certify_reduction(EIGEN_19, 19)
     with pytest.raises(DeductionRefused):
-        deduce_endomorphism_ring(10, cert17, cert19, "inconclusive")
+        deduce_endomorphism_ring(10, cert17, cert19, "inconclusive", conductor=1)
     with pytest.raises(DeductionRefused):
-        deduce_endomorphism_ring(10, None, cert19, "distinct")
+        deduce_endomorphism_ring(10, None, cert19, "distinct", conductor=1)
     broken_stab = StabilityReport(12, (4, 2), 3)
     for mutated in (
         type(cert17)(cert17.quartic, False, cert17.ordinary, cert17.stability),
@@ -285,9 +287,89 @@ def test_deduction_refused_on_any_gap():
         type(cert17)(cert17.quartic, cert17.irreducible, cert17.ordinary, broken_stab),
     ):
         with pytest.raises(DeductionRefused):
-            deduce_endomorphism_ring(10, mutated, cert19, "distinct")
+            deduce_endomorphism_ring(10, mutated, cert19, "distinct", conductor=1)
         with pytest.raises(DeductionRefused):
-            deduce_endomorphism_ring(10, cert19, mutated, "distinct")
+            deduce_endomorphism_ring(10, cert19, mutated, "distinct", conductor=1)
+
+
+def test_deduction_refused_unless_the_eigenvalues_generate_the_maximal_order():
+    cert17 = certify_reduction(EIGEN_17, 17)
+    cert19 = certify_reduction(EIGEN_19, 19)
+    for conductor in (0, 2, 3):
+        with pytest.raises(DeductionRefused, match=f"Z \\+ {conductor}O"):
+            deduce_endomorphism_ring(10, cert17, cert19, "distinct", conductor=conductor)
+
+
+def test_hecke_conductor_is_the_gcd_of_omega_parts():
+    # omega = sqrt(d) for d = 2, 3 (mod 4) and (1 + sqrt(d))/2 for d = 1 (mod 4),
+    # where x + y sqrt(d) = (x - y) + 2y omega
+    assert NewformDatum(276, 10, 2, {17: EIGEN_17, 19: EIGEN_19}).hecke_conductor == 1
+    assert NewformDatum(1, 10, 2, {17: QuadElement(10, 1, 2), 19: QuadElement(10, 0, -2)}).hecke_conductor == 2
+    assert NewformDatum(1, 10, 2, {17: QuadElement(10, 1, 2), 19: QuadElement(10, 0, 1)}).hecke_conductor == 1
+    assert NewformDatum(1, 10, 2, {17: QuadElement(10, 3), 19: QuadElement(10, -2)}).hecke_conductor == 0
+    half = Fraction(1, 2)
+    assert NewformDatum(1, 65, 2, {23: QuadElement(65, -1, 1), 29: QuadElement(65, -2, -1)}).hecke_conductor == 2
+    assert NewformDatum(1, 5, 2, {11: QuadElement(5, half, half), 19: QuadElement(5, 1, 1)}).hecke_conductor == 1
+
+
+# units x + y sqrt(d) of norm +-1, with i for d = -1 and a sixth root of unity for d = -3
+_UNITS = {-1: (0, 1), -3: (Fraction(1, 2), Fraction(1, 2)), 2: (1, 1), 3: (2, 1), 5: (2, 1),
+          6: (5, 2), 7: (8, 3), 10: (3, 1)}
+_PRIMES = [p for p in range(2, 200) if is_prime(p)]
+
+
+def _quartic_of(p: int, t: int, n: int) -> WeilQuartic:
+    """The Weil quartic whose quadratic factor x^2 - alpha x + p has Tr alpha = t, N alpha = n."""
+    return WeilQuartic(p, IntPoly((p * p, -p * t, n + 2 * p, -t, 1)))
+
+
+def _seeded_weil_quartics(rng, count):
+    """Weil quartics of four kinds in turn; the last three are reducible by construction."""
+    out = []
+    while len(out) < count:
+        p = rng.choice(_PRIMES)
+        kind = len(out) % 4
+        if kind == 0:  # any trace and norm, so D = t^2 - 4n of either sign
+            t, n = rng.randint(-40, 40), rng.randint(-400, 400)
+        elif kind == 1:  # rational alpha: D = k^2
+            t = rng.randint(-40, 40)
+            k = rng.randrange(t % 2, 41, 2)
+            n = (t * t - k * k) // 4
+        elif kind == 2:  # g = (x - eps)(x - p/eps) splits over K for a unit eps
+            d = rng.choice(list(_UNITS))
+            eps = rng.choice([1, -1]) * QuadElement(d, *_UNITS[d]) ** rng.randint(1, 3)
+            alpha = eps + p * eps**-1
+            t, n = int(alpha.trace()), int(alpha.norm())
+        else:  # alpha = pi - conj(pi) = 2y sqrt(d) for pi = x + y sqrt(d) of norm -p
+            d, x, y = rng.randint(2, 30), rng.randint(0, 12), rng.randint(1, 6)
+            p = d * y * y - x * x
+            if p < 2 or not is_prime(p):
+                continue
+            t, n = 0, -4 * d * y * y
+        out.append(_quartic_of(p, t, n))
+    return out
+
+
+def test_irreducibility_matches_divisor_pair_search():
+    quartics = [CHARPOLY_17, CHARPOLY_19, WeilQuartic(7, IntPoly((7, 0, 1)) ** 2)]
+    quartics += _seeded_weil_quartics(random.Random(20260840), 3200)
+    tally = {"irreducible": 0, "D square": 0, "D < 0": 0, "split over Q(sqrt(D))": 0}
+    for quartic in quartics:
+        t, disc_alpha, cofactor = quartic.factor_data()
+        irreducible = is_irreducible(quartic)
+        assert irreducible == is_irreducible_quartic(quartic.poly), quartic
+        if irreducible:
+            tally["irreducible"] += 1
+            p = quartic.p
+            assert discriminant(quartic.poly) == p * p * disc_alpha**2 * cofactor, quartic
+            assert cofactor != 0
+        elif disc_alpha >= 0 and isqrt(disc_alpha) ** 2 == disc_alpha:
+            tally["D square"] += 1
+        else:
+            tally["split over Q(sqrt(D))"] += 1
+        tally["D < 0"] += disc_alpha < 0
+    assert tally["irreducible"] >= 500 and tally["D < 0"] >= 200, tally
+    assert tally["D square"] >= 500 and tally["split over Q(sqrt(D))"] >= 500, tally
 
 
 def test_newform_datum_validation():
