@@ -26,7 +26,6 @@ from typing import Any
 from .errors import DeductionRefused, InputDataError, InvalidEigenvalueError
 from .monoidring import AVMonoid, albanese_image, zero_divisor_witness
 from .orders import (
-    CLASS_GROUP_BOUND,
     FracIdeal,
     IdealClass,
     QuadOrder,
@@ -36,7 +35,7 @@ from .orders import (
     principal_generator,
 )
 from .polynomials import IntPoly
-from .quadratic import QuadElement
+from .quadratic import CLASS_GROUP_BOUND, QuadElement
 from .steinitz import AVClass, ModuleClass, class_of_ideal_sum, direct_sum, free_module, tensor_av
 from .weil import (
     DEFAULT_STABILITY_BOUND,
@@ -57,8 +56,8 @@ BASE_TAG = "A"
 # size caps of parse_input, checked before any trial division: the level is
 # factored by trial division up to its square root, so 10^12 keeps that within
 # 10^6 steps; the eigenvalue primes share the bound, far inside is_prime's proven
-# range, and with MAX_STABILITY_BOUND it keeps the power sums of the stability
-# sweep (about 3 * bound * log2(p) bits) small
+# range, and it keeps the power sums of the stability sweep (about
+# 3 * DEFAULT_STABILITY_BOUND * log2(p) bits) small
 LEVEL_BOUND = 10**12
 PRIME_BOUND = 10**12
 
@@ -261,7 +260,6 @@ class _Run:
     """One run's input, and what each check stores for the checks after it."""
 
     inp: VerificationInput
-    bound: int
     order: QuadOrder
     ideal: FracIdeal
     p1: int
@@ -322,7 +320,7 @@ def _check_frobenius_charpoly(run: _Run, check: Check) -> str | None:
 def _check_surface_checks(run: _Run, check: Check) -> str | None:
     failures = []
     for p in (run.p1, run.p2):
-        cert = certify_reduction(run.inp.datum.eigenvalues[p], p, run.bound)
+        cert = certify_reduction(run.inp.datum.eigenvalues[p], p)
         run.certs[p] = cert
         check.outputs[f"p{p}"] = {
             "irreducible": cert.irreducible,
@@ -337,7 +335,7 @@ def _check_surface_checks(run: _Run, check: Check) -> str | None:
 
 
 def _check_power_stability(run: _Run, check: Check) -> str | None:
-    check.inputs["bound"] = run.bound
+    check.inputs["bound"] = DEFAULT_STABILITY_BOUND
     failures = []
     for p in (run.p1, run.p2):
         cert = run.certs.get(p)
@@ -427,7 +425,7 @@ def _check_zero_divisor_witness(run: _Run, check: Check) -> str | None:
 
 
 # (name, claim template, citation, check function), in the order they run; a
-# claim may use {d}, {p1}, {p2}, {bound} and {reference}
+# claim may use {d}, {p1}, {p2} and {reference}
 _CHECKS = (
     ("class_group", "Pic of the maximal order of Q(√{d}) is Z/2 (class number 2)",
      "class group via reduction of ideals below the Minkowski bound", _check_class_group),
@@ -439,7 +437,7 @@ _CHECKS = (
     ("surface_checks",
      "both quartics are irreducible with Weil shape and ordinary middle coefficient",
      "rational-root and quadratic-pair factor search; gcd(c2, p) = 1", _check_surface_checks),
-    ("power_stability", "Q(pi^n) = Q(pi) for n = 2..{bound} at both primes",
+    ("power_stability", f"Q(pi^n) = Q(pi) for n = 2..{DEFAULT_STABILITY_BOUND} at both primes",
      "minimal polynomial of pi^n as squarefree part of Res_y(P(y), x - y^n); "
      "a root of unity in a quartic field has order at most 12, so bound 12 suffices",
      _check_power_stability),
@@ -495,15 +493,15 @@ _ASSUMED = (
 )
 
 
-def run_certificate(inp: VerificationInput, bound: int = DEFAULT_STABILITY_BOUND) -> Certificate:
+def run_certificate(inp: VerificationInput) -> Certificate:
     """Run the checks of _CHECKS in order; every check lands in the certificate, pass or fail."""
     datum = inp.datum
     order = maximal_order(datum.hecke_field_d)
     ideal = FracIdeal(order, inp.ideal_a, inp.ideal_b, Fraction(1, inp.ideal_q))
     p1, p2 = datum.good_primes()[:2]  # the Frobenius quartics are taken at these
-    run = _Run(inp, bound, order, ideal, p1, p2)
+    run = _Run(inp, order, ideal, p1, p2)
     reference = ", and the first equals the reference polynomial" if inp.golden_charpoly else ""
-    fields = dict(d=order.d, p1=p1, p2=p2, bound=bound, level=datum.level, reference=reference)
+    fields = dict(d=order.d, p1=p1, p2=p2, level=datum.level, reference=reference)
     checks: list[Check] = []
     for name, claim, citation, body in _CHECKS:
         check = Check(name, claim.format(**fields), citation, COMPUTED)
@@ -518,6 +516,6 @@ def run_certificate(inp: VerificationInput, bound: int = DEFAULT_STABILITY_BOUND
     checks.extend(Check(name, claim.format(**fields), citation, ASSUMED)
                   for name, claim, citation in _ASSUMED)
 
-    parameters = {"stability_bound": bound, "base_tag": BASE_TAG}
+    parameters = {"stability_bound": DEFAULT_STABILITY_BOUND, "base_tag": BASE_TAG}
     generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return Certificate(dict(inp.raw), parameters, checks, generated_at)

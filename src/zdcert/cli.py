@@ -30,8 +30,6 @@ def _fraction(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .quadratic import DEFAULT_STABILITY_BOUND
-
     parser = argparse.ArgumentParser(
         prog="zdcert",
         description="Exact-arithmetic certificate for a zero-divisor pair built "
@@ -42,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full certificate pipeline on a dataset")
     p_verify.add_argument("file", nargs="?", help="JSON input file")
     p_verify.add_argument("--bundled", action="store_true", help="use the bundled dataset")
-    p_verify.add_argument("--bound", type=int, default=DEFAULT_STABILITY_BOUND,
-                          help="power-stability bound (default %(default)s)")
     p_verify.add_argument("--report", metavar="OUT.json", help="write the JSON report here")
 
     p_cg = sub.add_parser("classgroup", help="class group of the maximal order of Q(sqrt(d))")
@@ -69,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     from .certify import load_input, run_certificate
-    from .quadratic import MAX_STABILITY_BOUND
 
     if args.bundled == (args.file is not None):
         print("verify: provide exactly one of an input file or --bundled", file=sys.stderr)
@@ -80,13 +75,7 @@ def _cmd_verify(args) -> int:
     except InputDataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if args.bound < 2:
-        print("--bound must be at least 2", file=sys.stderr)
-        return 2
-    if args.bound > MAX_STABILITY_BOUND:
-        print(f"--bound must be at most {MAX_STABILITY_BOUND}", file=sys.stderr)
-        return 2
-    cert = run_certificate(inp, bound=args.bound)
+    cert = run_certificate(inp)
     print(cert.render_text())
     if args.report:
         Path(args.report).write_text(cert.to_json())
@@ -94,19 +83,10 @@ def _cmd_verify(args) -> int:
     return 0 if cert.verdict == "pass" else 1
 
 
-def _bounded_maximal_order(d: int):
-    from .orders import CLASS_GROUP_BOUND, maximal_order
-
-    # |disc| >= |d|: refuse before maximal_order's trial-division squarefree test
-    if abs(d) > CLASS_GROUP_BOUND:
-        raise ResourceLimitError(f"|d| = {abs(d)} exceeds the bound {CLASS_GROUP_BOUND}")
-    return maximal_order(d)
-
-
 def _cmd_classgroup(args) -> int:
-    from .orders import class_group
+    from .orders import class_group, maximal_order
 
-    order = _bounded_maximal_order(args.d)
+    order = maximal_order(args.d)
     cg = class_group(order)
     print(f"discriminant: {order.disc}")
     print(f"class group: {cg} (h = {cg.h})")
@@ -118,9 +98,9 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_unit(args) -> int:
-    from .orders import fundamental_unit
+    from .orders import fundamental_unit, maximal_order
 
-    u = fundamental_unit(_bounded_maximal_order(args.d))
+    u = fundamental_unit(maximal_order(args.d))
     print(f"fundamental unit: {u}")
     print(f"norm: {u.norm()}")
     return 0
@@ -141,9 +121,9 @@ def _cmd_weil(args) -> int:
 def _cmd_principal(args) -> int:
     from fractions import Fraction
 
-    from .orders import FracIdeal, principal_generator
+    from .orders import FracIdeal, maximal_order, principal_generator
 
-    order = _bounded_maximal_order(args.d)
+    order = maximal_order(args.d)
     ideal = FracIdeal(order, args.a, args.b, Fraction(1, args.q))
     gen = principal_generator(ideal)
     if gen is None:

@@ -23,7 +23,6 @@ from .errors import MismatchError, ResourceLimitError
 from .quadratic import QuadElement, Rat, _check_d, _element, binary_power, is_prime
 
 _MAX_STEPS = 1_000_000
-CLASS_GROUP_BOUND = 10**6  # the largest |disc| class_group accepts by default
 
 
 @dataclass(frozen=True)
@@ -488,7 +487,7 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
     return [FracIdeal(order, p, r) for r in sorted({b, (-order.omega_trace - b) % p})]
 
 
-def class_group(order: QuadOrder, bound: int = CLASS_GROUP_BOUND) -> ClassGroup:
+def class_group(order: QuadOrder) -> ClassGroup:
     """Structure of Pic(O) from the norm <= Minkowski-bound prime ideals.
 
     Each generator class g not yet reached extends the group H reached so far
@@ -497,13 +496,9 @@ def class_group(order: QuadOrder, bound: int = CLASS_GROUP_BOUND) -> ClassGroup:
     the rows form a triangular matrix of determinant h, whose Smith-form
     diagonal is the invariants.
 
-    Works for any fundamental discriminant with |disc| <= bound; the bound
+    Works for any fundamental discriminant; QuadOrder's cap |d| <= CLASS_GROUP_BOUND
     keeps the prime enumeration and reduction cycles at desk scale.
     """
-    if abs(order.disc) > bound:
-        raise ResourceLimitError(
-            f"|disc| = {abs(order.disc)} exceeds the configured bound {bound}"
-        )
     above = [prime_ideals_above(order, p) for p in range(2, minkowski_bound(order) + 1) if is_prime(p)]
     gens = [i for ideals in above for i in ideals]
 

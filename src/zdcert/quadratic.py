@@ -10,10 +10,8 @@ from .errors import MismatchError, ResourceLimitError
 
 Rat = int | Fraction
 
-# a root of unity in a quartic field has order m with phi(m) <= 4, so m <= 12
-DEFAULT_STABILITY_BOUND = 12
-# the largest bound the CLI accepts; the sweep's cost grows like bound^2.5
-MAX_STABILITY_BOUND = 100
+# the largest |d| of any field: its class group and units stay at desk scale
+CLASS_GROUP_BOUND = 10**6
 
 
 def is_squarefree(n: int) -> bool:
@@ -95,6 +93,8 @@ def binary_power(base, n: int, one):
 
 
 def _check_d(d: int) -> int:
+    if abs(d) > CLASS_GROUP_BOUND:  # before is_squarefree's trial division
+        raise ValueError(f"|d| = {abs(d)} exceeds the bound {CLASS_GROUP_BOUND}")
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"field parameter must be squarefree and not 0 or 1, got {d}")
     return d

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
 from .polynomials import IntPoly, is_rational_square, power_sums, rank_and_det
-from .quadratic import DEFAULT_STABILITY_BOUND, QuadElement, exact_isqrt, is_prime, prime_divisors
+from .quadratic import QuadElement, exact_isqrt, is_prime, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,12 @@ class StabilityReport:
         if self.stable:
             return f"stable through power {self.bound}"
         return f"unstable at power {self.failed_at}"
+
+
+# a root of unity in a quartic field has order m with phi(m) <= 4, so m <= 12
+# (a simple ordinary surface that is not absolutely simple splits over an
+# extension of degree 2, 3, 4 or 6: Howe-Zhu, J. Number Theory 92, 2002)
+DEFAULT_STABILITY_BOUND = 12
 
 
 def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_BOUND) -> StabilityReport:

@@ -25,8 +25,8 @@ def fresh(**overrides):
     return raw
 
 
-def run_raw(raw, bound=12):
-    return run_certificate(parse_input(raw), bound=bound)
+def run_raw(raw):
+    return run_certificate(parse_input(raw))
 
 
 def test_bundled_dataset_passes_all_checks():
@@ -174,13 +174,39 @@ def test_eigenvalues_of_a_nonmaximal_order_refuse_the_deduction():
     assert run_raw(raw).verdict == "pass"
 
 
-def test_custom_stability_bound_recorded():
-    cert = run_raw(DATASET, bound=5)
-    assert cert.verdict == "pass"
-    assert cert.parameters["stability_bound"] == 5
-    stability = next(c for c in cert.computed_checks if c.name == "power_stability")
-    assert stability.inputs["bound"] == 5
-    assert len(stability.outputs["p17"]["minpoly_degrees"]) == 4  # n = 2..5
+def test_degree_6_splitting_fails_the_fixed_stability_sweep(tmp_path, capsys):
+    # a_37 = -9 - √10: c3 = 18, c2 = 145, so c3^2 = 3 c2 - 3p, Howe-Zhu's degree-6
+    # case; pi^6 drops degree, which a sweep stopping below 6 would miss
+    raw = copy.deepcopy(DATASET)
+    raw["eigenvalues"][1] = {"p": 37, "a": [-9, 1, -1, 1]}
+    del raw["paper_charpoly"]
+    path = tmp_path / "a37.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == 1
+    failed = re.findall(r"^\[\s*\d+\] FAIL  (\w+):", capsys.readouterr().out, re.M)
+    assert failed == ["power_stability", "endomorphism_ring"]
+    # the sweep length is not an option: a shorter one once certified this input
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", str(path), "--bound", "3"])
+    assert exit_info.value.code == 2
+
+
+def test_field_at_the_d_cap_gets_a_full_certificate(tmp_path, capsys):
+    # |d| is within the cap though |disc| = 4d is not: the class group is still computed
+    raw = copy.deepcopy(DATASET)
+    raw.update(hecke_field_d=300003, ideal={"a": 1, "b": 0, "q": 1})
+    raw["eigenvalues"] = [{"p": 17, "a": [1, 1, 0, 1]}, {"p": 19, "a": [1, 1, 0, 1]}]
+    del raw["paper_charpoly"]
+    path = tmp_path / "d300003.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert len(re.findall(r"^\[\s*\d+\] (?:PASS|FAIL)  ", captured.out, re.M)) == 10
+    assert "OVERALL: FAIL" in captured.out
+    check = next(c for c in run_raw(raw).computed_checks if c.name == "class_group")
+    assert check.verdict == "fail"
+    assert check.outputs["detail"] == "class group is Z/2 x Z/8 (h = 16), not Z/2"
 
 
 def test_golden_charpoly_optional():

@@ -70,7 +70,8 @@ def test_closed_stdout_exits_two_without_traceback():
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("args", [["unit", "--d", HUGE_D], ["principal", "--d", HUGE_D, "--a", "2", "--b", "1"]])
+@pytest.mark.parametrize("args", [["unit", "--d", HUGE_D], ["principal", "--d", HUGE_D, "--a", "2", "--b", "1"],
+                                  ["weil", "--p", "17", "--a", "1", "--b", "1", "--d", HUGE_D]])
 def test_huge_d_is_refused_at_once(args):
     result = _python("-m", "zdcert", *args, capture_output=True, timeout=1)
     assert result.returncode == 2
@@ -102,7 +103,7 @@ _EXTRA_PRIME["eigenvalues"].append({"p": 10**18 + 9, "a": [0, 1, 0, 1]})  # prim
     (_bundled_with(level=2**61 - 1), [], "level: level exceeds the bound"),
     (_EXTRA_PRIME, [], "eigenvalues[2]: eigenvalue prime exceeds the bound"),
     (_bundled_with(hecke_field_d=3 * (2**61 - 1)), [], "hecke_field_d: |hecke_field_d| exceeds the bound"),
-    (None, ["--bound", "100000"], "--bound must be at most"),
+    (None, ["--bound", "100000"], "unrecognized arguments: --bound"),
 ], ids=["level-2^61-1", "extra-prime-10^18+9", "d-3*(2^61-1)", "bound-100000"])
 def test_oversized_input_exits_two_at_once(tmp_path, raw, extra, message):
     if raw is None:

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
-from zdcert.errors import MismatchError, ResourceLimitError
+from zdcert.errors import MismatchError
 from zdcert.orders import (
     FracIdeal,
     class_group,
@@ -328,8 +329,13 @@ def test_class_group_examples():
 
 
 def test_class_group_respects_bound():
-    with pytest.raises(ResourceLimitError):
-        class_group(O10, bound=10)
+    # every order refuses |d| > 10^6, before the trial division of its squarefree test
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        class_group(maximal_order(1000003))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        class_group(maximal_order(1000000000000000003))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_prime_ideals_above_match_brute_scan():
