@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import DeductionRefused, InputDataError, InvalidEigenvalueError
+from .errors import DeductionRefused, InputDataError
 from .monoidring import AVMonoid, albanese_image, zero_divisor_witness
 from .orders import (
     FracIdeal,
@@ -41,11 +41,9 @@ from .weil import (
     DEFAULT_STABILITY_BOUND,
     NewformDatum,
     ReductionCertificate,
-    WeilQuartic,
     certify_reduction,
     deduce_endomorphism_ring,
     distinct_fields_certificate,
-    frobenius_charpoly,
 )
 
 COMPUTED = "computed"
@@ -142,18 +140,20 @@ class Certificate:
 @dataclass(frozen=True)
 class VerificationInput:
     datum: NewformDatum
-    ideal_a: int
-    ideal_b: int
-    ideal_q: int
+    ideal: FracIdeal
     golden_charpoly: IntPoly | None
     raw: dict[str, Any]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
 
 
 def _require(raw: dict, key: str, kind, location: str):
     if key not in raw:
         raise InputDataError(f"missing field '{key}'", location)
     value = raw[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+    if kind is int and not _is_int(value):
         raise InputDataError(f"field '{key}' must be an integer", location)
     if kind is list and not isinstance(value, list):
         raise InputDataError(f"field '{key}' must be an array", location)
@@ -169,10 +169,20 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
     level = _require(raw, "level", int, "level")
     if level > LEVEL_BOUND:
         raise InputDataError(f"level exceeds the bound {LEVEL_BOUND}", "level")
+    if level < 1:
+        raise InputDataError("level must be a positive integer", "level")
     d = _require(raw, "hecke_field_d", int, "hecke_field_d")
     if abs(d) > CLASS_GROUP_BOUND:
         raise InputDataError(f"|hecke_field_d| exceeds the bound {CLASS_GROUP_BOUND}", "hecke_field_d")
+    try:
+        order = maximal_order(d)
+    except ValueError as exc:
+        raise InputDataError(str(exc), "hecke_field_d") from exc
+    if d <= 1:
+        raise InputDataError("the Hecke field must be real quadratic (d > 1)", "hecke_field_d")
     expected_dim = _require(raw, "expected_dim", int, "expected_dim")
+    if expected_dim < 1:
+        raise InputDataError("expected dimension must be positive", "expected_dim")
     eigen_raw = _require(raw, "eigenvalues", list, "eigenvalues")
 
     eigenvalues: dict[int, QuadElement] = {}
@@ -184,7 +194,7 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
         if p > PRIME_BOUND:
             raise InputDataError(f"eigenvalue prime exceeds the bound {PRIME_BOUND}", loc)
         coords = _require(entry, "a", list, loc)
-        if len(coords) != 4 or not all(isinstance(c, int) for c in coords):
+        if len(coords) != 4 or not all(_is_int(c) for c in coords):
             raise InputDataError(
                 "eigenvalue coordinates must be [a_num, a_den, b_num, b_den]", loc
             )
@@ -192,12 +202,7 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
             raise InputDataError("denominators cannot be zero", loc)
         if p in eigenvalues:
             raise InputDataError(f"duplicate eigenvalue prime {p}", loc)
-        try:
-            eigenvalues[p] = QuadElement(
-                d, Fraction(coords[0], coords[1]), Fraction(coords[2], coords[3])
-            )
-        except ValueError as exc:
-            raise InputDataError(str(exc), loc) from exc
+        eigenvalues[p] = QuadElement(d, Fraction(coords[0], coords[1]), Fraction(coords[2], coords[3]))
 
     if len(eigenvalues) < 2:
         raise InputDataError("need eigenvalues at two distinct good primes", "eigenvalues")
@@ -217,7 +222,7 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
     if raw.get("paper_charpoly") is not None:
         coeffs = raw["paper_charpoly"]
         if not (isinstance(coeffs, list) and len(coeffs) == 5
-                and all(isinstance(c, int) for c in coeffs)):
+                and all(_is_int(c) for c in coeffs)):
             raise InputDataError(
                 "reference charpoly must be an array of 5 integers, constant term first",
                 "paper_charpoly",
@@ -226,17 +231,16 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
 
     try:
         datum = NewformDatum(level, d, expected_dim, eigenvalues)
-    except (ValueError, InvalidEigenvalueError) as exc:
+    except ValueError as exc:  # InvalidEigenvalueError included
         raise InputDataError(str(exc), "eigenvalues") from exc
 
     # the ideal triple must denote an actual ideal of the order
     try:
-        order = maximal_order(d)
-        FracIdeal(order, ia, ib, Fraction(1, iq))
+        ideal = FracIdeal(order, ia, ib, Fraction(1, iq))
     except ValueError as exc:
         raise InputDataError(str(exc), "ideal") from exc
 
-    return VerificationInput(datum, ia, ib, iq, golden, raw)
+    return VerificationInput(datum, ideal, golden, raw)
 
 
 def load_input(path: str | Path) -> VerificationInput:
@@ -261,11 +265,9 @@ class _Run:
 
     inp: VerificationInput
     order: QuadOrder
-    ideal: FracIdeal
     p1: int
     p2: int
     ideal_cls: IdealClass | None = None
-    quartics: tuple[WeilQuartic, WeilQuartic] | None = None
     certs: dict[int, ReductionCertificate] = field(default_factory=dict)
     distinctness: str = "inconclusive"
     ab: tuple[AVClass, AVClass] | None = None  # set only when check 8 passes
@@ -286,9 +288,10 @@ def _check_class_group(run: _Run, check: Check) -> str | None:
 
 
 def _check_nonprincipal_ideal(run: _Run, check: Check) -> str | None:
-    check.inputs["ideal"] = str(run.ideal)
-    gen = principal_generator(run.ideal)
-    cls = ideal_class(run.ideal)
+    ideal = run.inp.ideal
+    check.inputs["ideal"] = str(ideal)
+    gen = principal_generator(ideal)
+    cls = ideal_class(ideal)
     square_trivial = (cls * cls).is_trivial
     run.ideal_cls = cls
     check.outputs.update({"principal": gen is not None, "class_square_trivial": square_trivial})
@@ -307,9 +310,8 @@ def _check_frobenius_charpoly(run: _Run, check: Check) -> str | None:
         "p2": run.p2,
         "a_p2": str(eigenvalues[run.p2]),
     })
-    q1 = frobenius_charpoly(eigenvalues[run.p1], run.p1)
-    q2 = frobenius_charpoly(eigenvalues[run.p2], run.p2)
-    run.quartics = (q1, q2)
+    run.certs = {p: certify_reduction(eigenvalues[p], p) for p in (run.p1, run.p2)}
+    q1, q2 = (cert.quartic for cert in run.certs.values())
     check.outputs.update({"charpoly_p1": list(q1.poly.coeffs), "charpoly_p2": list(q2.poly.coeffs)})
     reference = run.inp.golden_charpoly
     if reference is not None and q1.poly != reference:
@@ -318,10 +320,10 @@ def _check_frobenius_charpoly(run: _Run, check: Check) -> str | None:
 
 
 def _check_surface_checks(run: _Run, check: Check) -> str | None:
+    if len(run.certs) < 2:
+        return "no quartics available"
     failures = []
-    for p in (run.p1, run.p2):
-        cert = certify_reduction(run.inp.datum.eigenvalues[p], p)
-        run.certs[p] = cert
+    for p, cert in run.certs.items():
         check.outputs[f"p{p}"] = {
             "irreducible": cert.irreducible,
             "ordinary": cert.ordinary,
@@ -352,9 +354,9 @@ def _check_power_stability(run: _Run, check: Check) -> str | None:
 
 
 def _check_distinct_fields(run: _Run, check: Check) -> str | None:
-    if not run.quartics:
+    if len(run.certs) < 2:
         return "no quartics available"
-    run.distinctness = distinct_fields_certificate(*run.quartics)
+    run.distinctness = distinct_fields_certificate(*(cert.quartic for cert in run.certs.values()))
     check.outputs["distinctness"] = run.distinctness
     if run.distinctness != "distinct":
         return "discriminant ratio is a rational square: inconclusive"
@@ -495,11 +497,9 @@ _ASSUMED = (
 
 def run_certificate(inp: VerificationInput) -> Certificate:
     """Run the checks of _CHECKS in order; every check lands in the certificate, pass or fail."""
-    datum = inp.datum
-    order = maximal_order(datum.hecke_field_d)
-    ideal = FracIdeal(order, inp.ideal_a, inp.ideal_b, Fraction(1, inp.ideal_q))
+    datum, order = inp.datum, inp.ideal.order
     p1, p2 = datum.good_primes()[:2]  # the Frobenius quartics are taken at these
-    run = _Run(inp, order, ideal, p1, p2)
+    run = _Run(inp, order, p1, p2)
     reference = ", and the first equals the reference polynomial" if inp.golden_charpoly else ""
     fields = dict(d=order.d, p1=p1, p2=p2, level=datum.level, reference=reference)
     checks: list[Check] = []

@@ -368,7 +368,7 @@ class IdealClass:
     def __pow__(self, n: int) -> "IdealClass":
         if n < 0:
             return self.inverse() ** (-n)
-        return binary_power(self, n, ideal_class(unit_ideal(self.order)))
+        return binary_power(self, n, trivial_class(self.order))
 
     def inverse(self) -> "IdealClass":
         return ideal_class(self.rep.conjugate())

@@ -47,24 +47,31 @@ class WeilQuartic:
         """(t, D, N) of the quadratic factor g = x^2 - alpha x + p, where self = g * conj(g).
 
         t = alpha + conj(alpha) = -c3 and n = alpha conj(alpha) = c2 - 2p give
-        D = t^2 - 4n, so alpha = (t + sqrt(D))/2, and N = n^2 - 4p(t^2 - 2n) + 16p^2,
-        the cofactor in disc = p^2 D^2 N.
+        D = t^2 - 4n, so alpha = (t + sqrt(D))/2, and N = n^2 - 4p(t^2 - 2n) + 16p^2
+        (_weil_cofactor), the cofactor in disc = p^2 D^2 N.
         """
-        p, t, n = self.p, -self.c3, self.c2 - 2 * self.p
-        return t, t * t - 4 * n, n * n - 4 * p * (t * t - 2 * n) + 16 * p * p
+        t, n = -self.c3, self.c2 - 2 * self.p
+        return t, t * t - 4 * n, _weil_cofactor(self.p, t, n)
 
     def __str__(self) -> str:
         return f"{self.poly} over F_{self.p}"
 
 
-def _check_weil_bound(a_p: QuadElement, p: int) -> None:
-    # both real embeddings must satisfy x^2 <= 4p, checked by exact sign
-    for emb in (a_p, a_p.conjugate()):
-        sq = emb * emb - 4 * p
-        if sq.sign() > 0:
-            raise InvalidEigenvalueError(
-                f"eigenvalue {a_p} violates the Weil bound |a_p| <= 2*sqrt({p})"
-            )
+def _weil_cofactor(p: int, t: int, n: int) -> int:
+    # (r^2 - 4p)(r'^2 - 4p) = n^2 - 4p(r^2 + r'^2) + 16p^2 for conjugates r, r' of trace t, norm n
+    return n * n - 4 * p * (t * t - 2 * n) + 16 * p * p
+
+
+def _trace_and_norm(a_p: QuadElement, p: int) -> tuple[int, int]:
+    """(t, n) of a real quadratic a_p, checked integral and inside the Weil bound."""
+    if not a_p.is_integral():
+        raise InvalidEigenvalueError(f"a_{p} = {a_p} is not an algebraic integer")
+    t, n = int(a_p.trace()), int(a_p.norm())
+    # r^2 - 4p <= 0 at both conjugates r iff their sum t^2 - 2n - 8p is <= 0 and their
+    # product N is >= 0 (N = 0 on the bound, as for a_p = 2 sqrt(p))
+    if t * t - 2 * n > 8 * p or _weil_cofactor(p, t, n) < 0:
+        raise InvalidEigenvalueError(f"eigenvalue {a_p} violates the Weil bound |a_p| <= 2*sqrt({p})")
+    return t, n
 
 
 def frobenius_charpoly(a_p: QuadElement, p: int) -> WeilQuartic:
@@ -73,14 +80,8 @@ def frobenius_charpoly(a_p: QuadElement, p: int) -> WeilQuartic:
         raise ValueError(f"{p} is not prime")
     if a_p.d <= 0:
         raise ValueError("the Hecke eigenvalue field must be real quadratic")
-    if not a_p.is_integral():
-        raise InvalidEigenvalueError(f"eigenvalue {a_p} is not an algebraic integer")
-    _check_weil_bound(a_p, p)
-    t, n = a_p.trace(), a_p.norm()
-    assert t.denominator == 1 and n.denominator == 1
-    t, n = int(t), int(n)
-    poly = IntPoly((p * p, -p * t, n + 2 * p, -t, 1))
-    return WeilQuartic(p, poly)
+    t, n = _trace_and_norm(a_p, p)
+    return WeilQuartic(p, IntPoly((p * p, -p * t, n + 2 * p, -t, 1)))
 
 
 def _is_square_in(u: int, v: int, disc: int) -> bool:
@@ -299,9 +300,7 @@ class NewformDatum:
                 raise ValueError(f"prime {p} divides the level {self.level}: no good reduction")
             if a_p.d != self.hecke_field_d:
                 raise ValueError(f"eigenvalue a_{p} does not lie in Q(sqrt({self.hecke_field_d}))")
-            if not a_p.is_integral():
-                raise InvalidEigenvalueError(f"a_{p} = {a_p} is not an algebraic integer")
-            _check_weil_bound(a_p, p)
+            _trace_and_norm(a_p, p)
 
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)

@@ -134,7 +134,13 @@ def test_rational_eigenvalues_fail_dimension_check():
 def test_input_validation_errors():
     for raw, location in [
         (fresh(level="x"), "level"),
-        (fresh(hecke_field_d=12), "eigenvalues"),  # 12 is not squarefree
+        (fresh(hecke_field_d=12), "hecke_field_d"),  # 12 is not squarefree
+        (fresh(level=0), "level: level must be a positive integer"),
+        (fresh(expected_dim=0), "expected_dim: expected dimension must be positive"),
+        (fresh(hecke_field_d=-5), "hecke_field_d: the Hecke field must be real quadratic"),
+        (fresh(hecke_field_d=1), "hecke_field_d: field parameter must be squarefree"),
+        (_mutate(DATASET, ["eigenvalues", 0, "a"], [4, True, -1, True]), "eigenvalues[0]"),
+        (_mutate(DATASET, ["paper_charpoly", 4], True), "paper_charpoly"),
         (_mutate(DATASET, ["eigenvalues", 0, "p"], 15), "eigenvalues"),
         (_mutate(DATASET, ["eigenvalues", 0, "p"], 23), "eigenvalues"),  # divides 276
         (_mutate(DATASET, ["eigenvalues", 0, "a", 0], 40), "eigenvalues"),  # Weil bound
@@ -207,6 +213,26 @@ def test_field_at_the_d_cap_gets_a_full_certificate(tmp_path, capsys):
     check = next(c for c in run_raw(raw).computed_checks if c.name == "class_group")
     assert check.verdict == "fail"
     assert check.outputs["detail"] == "class group is Z/2 x Z/8 (h = 16), not Z/2"
+
+
+def test_one_run_builds_each_frobenius_quartic_once(monkeypatch):
+    from zdcert.weil import frobenius_charpoly
+
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return frobenius_charpoly(*args)
+
+    # patch every module binding, since each `from .weil import` makes its own
+    for name, module in list(sys.modules.items()):
+        if name == "zdcert" or name.startswith("zdcert."):
+            for binding, value in list(vars(module).items()):
+                if value is frobenius_charpoly:
+                    monkeypatch.setattr(module, binding, counting)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == 2
 
 
 def test_golden_charpoly_optional():

@@ -541,6 +541,25 @@ def test_class_group_reduces_one_ideal_per_prime_and_each_state_once(monkeypatch
     assert len(steps) == len(set(steps))
 
 
+def test_class_power_zero_is_the_trivial_class_without_a_cycle_walk(monkeypatch):
+    from zdcert import orders
+
+    order = maximal_order(999961)
+    g = class_group(order).nontrivial_classes()[0]
+    walked = ideal_class(unit_ideal(order))  # the principal cycle's least ideal
+    steps = 0
+    cf_step = orders._cf_step
+
+    def counting_cf_step(o, p, q):
+        nonlocal steps
+        steps += 1
+        return cf_step(o, p, q)
+
+    monkeypatch.setattr(orders, "_cf_step", counting_cf_step)
+    assert g ** 0 == trivial_class(order) == walked
+    assert steps == 0
+
+
 def test_trivial_class_and_inverse():
     cg = class_group(O10)
     c = cg.nontrivial_classes()[0]

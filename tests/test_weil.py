@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
@@ -77,6 +78,32 @@ def test_weil_bound_enforced():
         frobenius_charpoly(QuadElement(10, 4, -2), 17)  # conjugate embedding too big
     with pytest.raises(InvalidEigenvalueError):
         frobenius_charpoly(QuadElement(10, Fraction(1, 2), 0), 17)  # not integral
+
+
+def test_integer_weil_bound_matches_the_embedding_signs():
+    # frobenius_charpoly decides r^2 <= 4p at both conjugates r from the trace and
+    # norm alone; the oracle is the sign of a^2 - 4p under each real embedding
+    primes = [q for q in range(2, 104) if is_prime(q)]
+    fixed = (2, 3, 5, 6, 7, 10, 13)
+    boundary = 0
+    for d in sorted({*fixed, *primes}):
+        field_primes = primes if d in fixed else [d]
+        for x in range(-25, 26):
+            for y in range(-6, 7):
+                a = QuadElement(d, x, y)
+                squares = (a * a, a.conjugate() * a.conjugate())
+                # both squares are <= 4p from some prime on: the first such index
+                first = bisect_left(field_primes, True,
+                                    key=lambda p: all((s - 4 * p).sign() <= 0 for s in squares))
+                for i, p in enumerate(field_primes):
+                    try:
+                        quartic = frobenius_charpoly(a, p)
+                    except InvalidEigenvalueError:
+                        assert i < first, (a, p)
+                    else:
+                        assert i >= first, (a, p)
+                        boundary += quartic.factor_data()[2] == 0
+    assert boundary == 54  # N = 0: an embedding on the bound, as for a = 2 sqrt(p)
 
 
 def test_roots_on_circle_exact():
