@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -35,7 +34,7 @@ from .orders import (
     principal_generator,
 )
 from .polynomials import IntPoly
-from .quadratic import CLASS_GROUP_BOUND, QuadElement
+from .quadratic import CLASS_GROUP_BOUND, QuadElement, _element, _Value
 from .steinitz import AVClass, ModuleClass, class_of_ideal_sum, direct_sum, free_module, tensor_av
 from .weil import (
     DEFAULT_STABILITY_BOUND,
@@ -60,15 +59,16 @@ LEVEL_BOUND = 10**12
 PRIME_BOUND = 10**12
 
 
-@dataclass
 class Check:
-    name: str
-    claim: str
-    citation: str
-    provenance: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-    outputs: dict[str, Any] = field(default_factory=dict)
-    verdict: str | None = None  # "pass" / "fail" for computed checks, None for assumed
+    __slots__ = ("name", "claim", "citation", "provenance", "inputs", "outputs", "verdict")
+
+    def __init__(self, name: str, claim: str, citation: str, provenance: str,
+                 inputs: dict[str, Any] | None = None, outputs: dict[str, Any] | None = None,
+                 verdict: str | None = None):
+        self.name, self.claim, self.citation, self.provenance = name, claim, citation, provenance
+        self.inputs = {} if inputs is None else inputs
+        self.outputs = {} if outputs is None else outputs
+        self.verdict = verdict  # "pass" / "fail" for computed checks, None for assumed
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -82,12 +82,13 @@ class Check:
         }
 
 
-@dataclass
 class Certificate:
-    input_echo: dict[str, Any]
-    parameters: dict[str, Any]
-    checks: list[Check]
-    generated_at: str
+    __slots__ = ("input_echo", "parameters", "checks", "generated_at")
+
+    def __init__(self, input_echo: dict[str, Any], parameters: dict[str, Any], checks: list[Check],
+                 generated_at: str):
+        self.input_echo, self.parameters, self.checks = input_echo, parameters, checks
+        self.generated_at = generated_at
 
     @property
     def computed_checks(self) -> list[Check]:
@@ -137,12 +138,11 @@ class Certificate:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class VerificationInput:
-    datum: NewformDatum
-    ideal: FracIdeal
-    golden_charpoly: IntPoly | None
-    raw: dict[str, Any]
+class VerificationInput(_Value):
+    """(datum, ideal, golden_charpoly, raw): the parsed input, its reference
+    polynomial or None, and the raw JSON document."""
+
+    __slots__ = ("datum", "ideal", "golden_charpoly", "raw")
 
 
 def _is_int(value) -> bool:
@@ -202,7 +202,8 @@ def parse_input(raw: dict[str, Any]) -> VerificationInput:
             raise InputDataError("denominators cannot be zero", loc)
         if p in eigenvalues:
             raise InputDataError(f"duplicate eigenvalue prime {p}", loc)
-        eigenvalues[p] = QuadElement(d, Fraction(coords[0], coords[1]), Fraction(coords[2], coords[3]))
+        # d was checked once, by maximal_order
+        eigenvalues[p] = _element(d, Fraction(coords[0], coords[1]), Fraction(coords[2], coords[3]))
 
     if len(eigenvalues) < 2:
         raise InputDataError("need eigenvalues at two distinct good primes", "eigenvalues")
@@ -259,18 +260,17 @@ def load_input(path: str | Path) -> VerificationInput:
     return parse_input(raw)
 
 
-@dataclass
 class _Run:
     """One run's input, and what each check stores for the checks after it."""
 
-    inp: VerificationInput
-    order: QuadOrder
-    p1: int
-    p2: int
-    ideal_cls: IdealClass | None = None
-    certs: dict[int, ReductionCertificate] = field(default_factory=dict)
-    distinctness: str = "inconclusive"
-    ab: tuple[AVClass, AVClass] | None = None  # set only when check 8 passes
+    __slots__ = ("inp", "order", "p1", "p2", "ideal_cls", "certs", "distinctness", "ab")
+
+    def __init__(self, inp: VerificationInput, order: QuadOrder, p1: int, p2: int):
+        self.inp, self.order, self.p1, self.p2 = inp, order, p1, p2
+        self.ideal_cls: IdealClass | None = None
+        self.certs: dict[int, ReductionCertificate] = {}
+        self.distinctness = "inconclusive"
+        self.ab: tuple[AVClass, AVClass] | None = None  # set only when check 8 passes
 
 
 # Each check fills check.inputs, then check.outputs, stores on the run what later

@@ -10,24 +10,23 @@ equality of stored forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MismatchError
 from .orders import QuadOrder
+from .quadratic import _Value
 from .steinitz import AVClass, ModuleClass, direct_sum, tensor_av, zero_module
 
 
-@dataclass(frozen=True)
-class FreeMonoid:
+class FreeMonoid(_Value):
     """Free commutative monoid on named generators; elements are exponent tuples."""
 
-    generators: tuple[str, ...]
+    __slots__ = ("generators",)
 
     def __init__(self, generators: Sequence[str]):
         if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
-        object.__setattr__(self, "generators", tuple(generators))
+        super().__init__(tuple(generators))
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.generators)
@@ -59,16 +58,14 @@ class FreeMonoid:
         return f"FreeMonoid({', '.join(self.generators)})"
 
 
-@dataclass(frozen=True)
-class AVMonoid:
+class AVMonoid(_Value):
     """Classes of products of abelian varieties built from a fixed base A.
 
     Elements are AVClass values with this monoid's tag; the operation is
     product of varieties, i.e. direct sum of the underlying module classes.
     """
 
-    base_tag: str
-    order: QuadOrder
+    __slots__ = ("base_tag", "order")
 
     def identity(self) -> AVClass:
         return tensor_av(zero_module(self.order), self.base_tag)
@@ -98,12 +95,11 @@ class AVMonoid:
 Monoid = Union[FreeMonoid, AVMonoid]
 
 
-@dataclass(frozen=True)
-class MonoidRingElement:
-    """A finite Z-linear combination of monoid elements, in canonical form."""
+class MonoidRingElement(_Value):
+    """A finite Z-linear combination of monoid elements, in canonical form:
+    terms is a tuple of (element, nonzero coefficient) in the monoid's sort order."""
 
-    monoid: Monoid
-    terms: tuple[tuple[object, int], ...]
+    __slots__ = ("monoid", "terms")
 
     @staticmethod
     def build(monoid: Monoid, coefficients: Mapping) -> "MonoidRingElement":
@@ -184,15 +180,15 @@ def basis_element(monoid: Monoid, elem) -> MonoidRingElement:
     return MonoidRingElement.build(monoid, {elem: 1})
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(_Value):
     """A projective-space factor P^n in a formal product; its Albanese variety is trivial."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValueError("projective space dimension cannot be negative")
+        super().__init__(n)
 
 
 FormalFactor = Union[ProjectiveSpace, ModuleClass, AVClass]
@@ -219,15 +215,10 @@ def albanese_image(monoid: AVMonoid, factors: Iterable[FormalFactor]) -> MonoidR
     return basis_element(monoid, total)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of a zero-divisor check: either a witness or a named refusal."""
+class WitnessReport(_Value):
+    """Outcome of a zero-divisor check: a witness (reason None) or a named refusal."""
 
-    accepted: bool
-    reason: str | None
-    x_canonical: str
-    y_canonical: str
-    product_canonical: str
+    __slots__ = ("accepted", "reason", "x_canonical", "y_canonical", "product_canonical")
 
 
 def zero_divisor_witness(x: MonoidRingElement, y: MonoidRingElement) -> WitnessReport:

@@ -13,28 +13,29 @@ representatives and fundamental units all come out of its cycle structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, _check_d, _element, binary_power, is_prime
+from .quadratic import QuadElement, Rat, _Value, _check_d, _element, binary_power, is_prime
 
 _MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(_Value):
     """The maximal order of Q(sqrt(d))."""
 
-    d: int
-    disc: int
+    __slots__ = ("d", "disc")
 
     def __init__(self, d: int):
         object.__setattr__(self, "d", _check_d(d))
         object.__setattr__(self, "disc", d if d % 4 == 1 else 4 * d)
+
+    # _Value's field-tuple hash, spelled out for speed: each ideal's and class's hash includes it
+    def __hash__(self):
+        return hash((self.d, self.disc))
 
     @property
     def is_real(self) -> bool:
@@ -42,8 +43,8 @@ class QuadOrder:
 
     def omega(self) -> QuadElement:
         if self.d % 4 == 1:
-            return QuadElement(self.d, Fraction(1, 2), Fraction(1, 2))
-        return QuadElement(self.d, 0, 1)
+            return _element(self.d, Fraction(1, 2), Fraction(1, 2))
+        return _element(self.d, 0, 1)
 
     @property
     def omega_trace(self) -> int:
@@ -70,7 +71,7 @@ class QuadOrder:
         return (x.a, x.b)
 
     def from_coords(self, x: Rat, y: Rat) -> QuadElement:
-        return QuadElement(self.d, Fraction(x)) + Fraction(y) * self.omega()
+        return _element(self.d, x) + Fraction(y) * self.omega()
 
     def contains(self, x: QuadElement) -> bool:
         cx, cy = self.to_coords(x)
@@ -95,12 +96,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
-class FracIdeal:
-    order: QuadOrder
-    a: int
-    b: int
-    scale: Fraction
+class FracIdeal(_Value):
+    __slots__ = ("order", "a", "b", "scale")
 
     def __init__(self, order: QuadOrder, a: int, b: int, scale: Rat = 1):
         scale = Fraction(scale)
@@ -115,6 +112,15 @@ class FracIdeal:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "scale", scale)
+
+    # _Value's field-tuple equality and hash, spelled out for speed: class groups key by classes
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.a, self.b, self.scale) == (other.order, other.a, other.b, other.scale)
+
+    def __hash__(self):
+        return hash((self.order, self.a, self.b, self.scale))
 
     def _same_order(self, other: "FracIdeal") -> None:
         if self.order != other.order:
@@ -131,8 +137,8 @@ class FracIdeal:
 
     def generators(self) -> tuple[QuadElement, QuadElement]:
         w = self.order.omega()
-        return (self.scale * QuadElement(self.order.d, self.a),
-                self.scale * (QuadElement(self.order.d, self.b) + w))
+        return (self.scale * _element(self.order.d, self.a),
+                self.scale * (_element(self.order.d, self.b) + w))
 
     def __mul__(self, other: "FracIdeal | QuadElement | Rat") -> "FracIdeal":
         if isinstance(other, (int, Fraction)):
@@ -265,15 +271,15 @@ def principal_generator(ideal: FracIdeal) -> QuadElement | None:
 def _real_generator(ideal: FracIdeal) -> QuadElement | None:
     order = ideal.order
     p, q = _state_of(ideal.primitive_part())
-    multiplier = QuadElement(order.d, 1)
+    multiplier = _element(order.d, 1)
     if q == 2:
-        return QuadElement(order.d, ideal.scale * ideal.a)
+        return _element(order.d, ideal.scale * ideal.a)
     seen = {(p, q)}
     for _ in range(_MAX_STEPS):
         p, q = _cf_step(order, p, q)
         multiplier = multiplier * _theta(order, p, q)
         if q == 2:
-            return QuadElement(order.d, ideal.scale * ideal.a) / multiplier
+            return _element(order.d, ideal.scale * ideal.a) / multiplier
         if (p, q) in seen:
             return None
         seen.add((p, q))
@@ -301,8 +307,8 @@ def _imaginary_generator(ideal: FracIdeal) -> QuadElement | None:
                 continue
             x = num // (2 * a)
             alpha = ideal.scale * (
-                x * QuadElement(order.d, prim.a)
-                + y * (QuadElement(order.d, prim.b) + order.omega())
+                x * _element(order.d, prim.a)
+                + y * (_element(order.d, prim.b) + order.omega())
             )
             if not alpha.is_zero():
                 return alpha
@@ -338,8 +344,7 @@ def _reduce_form(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealClass:
+class IdealClass(_Value):
     """An ideal class, identified by a canonical reduced representative.
 
     Real case: the cycle ideal minimizing (norm, a, b); imaginary case: the
@@ -347,7 +352,18 @@ class IdealClass:
     equivalent ideals.
     """
 
-    rep: FracIdeal
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: FracIdeal):
+        object.__setattr__(self, "rep", rep)
+
+    def __eq__(self, other):  # spelled out as for FracIdeal
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self):
+        return hash((self.rep,))
 
     @property
     def order(self) -> QuadOrder:
@@ -428,7 +444,7 @@ def fundamental_unit(order: QuadOrder) -> QuadElement:
     if not order.is_real:
         raise ValueError("fundamental units exist only for real quadratic orders")
     p, q = order.omega_trace, 2
-    unit = QuadElement(order.d, 1)
+    unit = _element(order.d, 1)
     for _ in range(_MAX_STEPS):
         p, q = _cf_step(order, p, q)
         unit = unit * _theta(order, p, q)
@@ -443,12 +459,8 @@ def fundamental_unit(order: QuadOrder) -> QuadElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    order: QuadOrder
-    invariants: tuple[int, ...]
-    classes: tuple[IdealClass, ...]
-    generators: tuple[FracIdeal, ...]
+class ClassGroup(_Value):
+    __slots__ = ("order", "invariants", "classes", "generators")
 
     @property
     def h(self) -> int:

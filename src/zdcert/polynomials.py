@@ -6,11 +6,10 @@ trailing zeros stored; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .quadratic import binary_power, exact_isqrt
+from .quadratic import _Value, binary_power, exact_isqrt
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -20,9 +19,8 @@ def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    coeffs: tuple[int, ...]
+class IntPoly(_Value):
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
         if any(not isinstance(c, int) for c in coeffs):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -100,17 +99,53 @@ def _check_d(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class _Value:
+    """Base of the immutable value classes, whose fields are their __slots__.
+
+    Equality and hash go by the field tuple, and only between instances of the
+    same class; assignment and deletion raise AttributeError; repr is
+    Name(field=value, ...).  __init__ takes the fields in order, unchecked.
+    Classes that dicts and sets key by on hot paths spell these methods out.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class QuadElement(_Value):
     """a + b*sqrt(d) with a, b rational and d squarefree, d not in {0, 1}.
 
     Elements over different d never mix; operations raise MismatchError
     instead of coercing.
     """
 
-    d: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("d", "a", "b")
 
     def __init__(self, d: int, a: Rat, b: Rat = 0):
         _set_coords(self, _check_d(d), a, b)

@@ -10,23 +10,32 @@ argument consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MismatchError
 from .orders import IdealClass, QuadOrder, trivial_class
+from .quadratic import _Value
 
 
-@dataclass(frozen=True)
-class ModuleClass:
-    rank: int
-    steinitz: IdealClass
+class ModuleClass(_Value):
+    __slots__ = ("rank", "steinitz")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, steinitz: IdealClass):
+        if rank < 0:
             raise ValueError("module rank cannot be negative")
-        if self.rank == 0 and not self.steinitz.is_trivial:
+        if rank == 0 and not steinitz.is_trivial:
             raise ValueError("the zero module has trivial Steinitz class")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "steinitz", steinitz)
+
+    # _Value's field-tuple equality and hash, spelled out for speed: monoid-ring terms key by these
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.steinitz) == (other.rank, other.steinitz)
+
+    def __hash__(self):
+        return hash((self.rank, self.steinitz))
 
     @property
     def order(self) -> QuadOrder:
@@ -67,16 +76,26 @@ def direct_sum(m1: ModuleClass, m2: ModuleClass) -> ModuleClass:
     return ModuleClass(m1.rank + m2.rank, m1.steinitz * m2.steinitz)
 
 
-@dataclass(frozen=True)
-class AVClass:
+class AVClass(_Value):
     """Iso class of an abelian variety M (x)_O A over a fixed base variety A.
 
     The functor M -> M (x)_O A is fully faithful, so equality of AVClass
     values is equality of base tag and module class.
     """
 
-    base_tag: str
-    module: ModuleClass
+    __slots__ = ("base_tag", "module")
+
+    def __init__(self, base_tag: str, module: ModuleClass):
+        object.__setattr__(self, "base_tag", base_tag)
+        object.__setattr__(self, "module", module)
+
+    def __eq__(self, other):  # spelled out as for ModuleClass
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base_tag, self.module) == (other.base_tag, other.module)
+
+    def __hash__(self):
+        return hash((self.base_tag, self.module))
 
     def __str__(self) -> str:
         return f"{self.module} (x) {self.base_tag}"

@@ -9,31 +9,29 @@ the discriminant-ratio test separating the two quartic fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
 from .polynomials import IntPoly, is_rational_square, power_sums, rank_and_det
-from .quadratic import QuadElement, exact_isqrt, is_prime, prime_divisors
+from .quadratic import QuadElement, _Value, exact_isqrt, is_prime, prime_divisors
 
 
-@dataclass(frozen=True)
-class WeilQuartic:
+class WeilQuartic(_Value):
     """A degree-4 Weil polynomial over F_p: x^4 + c3 x^3 + c2 x^2 + p c3 x + p^2."""
 
-    p: int
-    poly: IntPoly
+    __slots__ = ("p", "poly")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.poly.degree != 4 or not self.poly.is_monic():
+    def __init__(self, p: int, poly: IntPoly):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if poly.degree != 4 or not poly.is_monic():
             raise ValueError("a Weil quartic must be monic of degree 4")
-        if self.poly[0] != self.p * self.p or self.poly[1] != self.p * self.poly[3]:
+        if poly[0] != p * p or poly[1] != p * poly[3]:
             raise ValueError(
                 "polynomial violates the abelian-surface functional equation "
-                f"(c0 = p^2 and c1 = p*c3) for p = {self.p}"
+                f"(c0 = p^2 and c1 = p*c3) for p = {p}"
             )
+        super().__init__(p, poly)
 
     @property
     def c3(self) -> int:
@@ -81,7 +79,10 @@ def frobenius_charpoly(a_p: QuadElement, p: int) -> WeilQuartic:
     if a_p.d <= 0:
         raise ValueError("the Hecke eigenvalue field must be real quadratic")
     t, n = _trace_and_norm(a_p, p)
-    return WeilQuartic(p, IntPoly((p * p, -p * t, n + 2 * p, -t, 1)))
+    # the norm form has the Weil shape by construction, so WeilQuartic's checks are skipped
+    quartic = object.__new__(WeilQuartic)
+    _Value.__init__(quartic, p, IntPoly((p * p, -p * t, n + 2 * p, -t, 1)))
+    return quartic
 
 
 def _is_square_in(u: int, v: int, disc: int) -> bool:
@@ -118,13 +119,10 @@ def is_ordinary(quartic: WeilQuartic) -> bool:
     return gcd(quartic.c2, quartic.p) == 1
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Value):
     """Degrees of the minimal polynomials of pi^n for n = 2..bound."""
 
-    bound: int
-    degrees: tuple[int, ...]
-    failed_at: int | None
+    __slots__ = ("bound", "degrees", "failed_at")
 
     @property
     def stable(self) -> bool:
@@ -186,14 +184,10 @@ def distinct_fields_certificate(q1: WeilQuartic, q2: WeilQuartic) -> str:
     return "distinct" if not square else "inconclusive"
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(_Value):
     """Everything the endomorphism deduction needs about one reduction."""
 
-    quartic: WeilQuartic
-    irreducible: bool
-    ordinary: bool
-    stability: StabilityReport | None
+    __slots__ = ("quartic", "irreducible", "ordinary", "stability")
 
     @property
     def positive(self) -> bool:
@@ -212,11 +206,8 @@ def certify_reduction(a_p: QuadElement, p: int, bound: int = DEFAULT_STABILITY_B
     return ReductionCertificate(quartic, irreducible, is_ordinary(quartic), stability)
 
 
-@dataclass(frozen=True)
-class EndomorphismConclusion:
-    d: int
-    hypotheses: tuple[str, ...]
-    conclusion: str
+class EndomorphismConclusion(_Value):
+    __slots__ = ("d", "hypotheses", "conclusion")
 
 
 def deduce_endomorphism_ring(
@@ -270,37 +261,34 @@ def deduce_endomorphism_ring(
     return EndomorphismConclusion(d, hypotheses, f"End = {ring}, the maximal order of Q(√{d})")
 
 
-@dataclass(frozen=True)
-class NewformDatum:
+class NewformDatum(_Value):
     """Weight-2 newform data: level, quadratic Hecke field, a_p eigenvalues.
 
     Eigenvalues are trusted published data; validation checks only that each
     prime has good reduction and each eigenvalue respects the Weil bound.
+    bad_primes, the primes dividing the level, is computed.
     """
 
-    level: int
-    hecke_field_d: int
-    expected_dim: int
-    eigenvalues: dict[int, QuadElement]
-    bad_primes: frozenset[int] = field(init=False)
+    __slots__ = ("level", "hecke_field_d", "expected_dim", "eigenvalues", "bad_primes")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, hecke_field_d: int, expected_dim: int,
+                 eigenvalues: dict[int, QuadElement]):
+        if level < 1:
             raise ValueError("level must be a positive integer")
-        bad = frozenset(prime_divisors(self.level))
-        object.__setattr__(self, "bad_primes", bad)
-        if self.expected_dim < 1:
+        bad = frozenset(prime_divisors(level))
+        if expected_dim < 1:
             raise ValueError("expected dimension must be positive")
-        if self.hecke_field_d <= 1:
+        if hecke_field_d <= 1:
             raise ValueError("the Hecke field must be real quadratic (d > 1)")
-        for p, a_p in self.eigenvalues.items():
+        for p, a_p in eigenvalues.items():
             if not is_prime(p):
                 raise ValueError(f"eigenvalue index {p} is not prime")
             if p in bad:
-                raise ValueError(f"prime {p} divides the level {self.level}: no good reduction")
-            if a_p.d != self.hecke_field_d:
-                raise ValueError(f"eigenvalue a_{p} does not lie in Q(sqrt({self.hecke_field_d}))")
+                raise ValueError(f"prime {p} divides the level {level}: no good reduction")
+            if a_p.d != hecke_field_d:
+                raise ValueError(f"eigenvalue a_{p} does not lie in Q(sqrt({hecke_field_d}))")
             _trace_and_norm(a_p, p)
+        super().__init__(level, hecke_field_d, expected_dim, eigenvalues, bad)
 
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)

@@ -215,24 +215,48 @@ def test_field_at_the_d_cap_gets_a_full_certificate(tmp_path, capsys):
     assert check.outputs["detail"] == "class group is Z/2 x Z/8 (h = 16), not Z/2"
 
 
-def test_one_run_builds_each_frobenius_quartic_once(monkeypatch):
-    from zdcert.weil import frobenius_charpoly
-
-    calls = 0
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Wrap fn at every zdcert module binding, since each `from .x import` makes its
+    own; the returned one-item list counts the calls."""
+    calls = [0]
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
-        return frobenius_charpoly(*args)
+        calls[0] += 1
+        return fn(*args)
 
-    # patch every module binding, since each `from .weil import` makes its own
     for name, module in list(sys.modules.items()):
         if name == "zdcert" or name.startswith("zdcert."):
             for binding, value in list(vars(module).items()):
-                if value is frobenius_charpoly:
+                if value is fn:
                     monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
+def test_one_run_builds_each_frobenius_quartic_once(monkeypatch):
+    from zdcert.weil import frobenius_charpoly
+
+    calls = _count_calls(monkeypatch, frobenius_charpoly)
     assert run_raw(DATASET).verdict == "pass"
-    assert calls == 2
+    assert calls == [2]
+
+
+def test_one_run_checks_the_field_parameter_once(monkeypatch):
+    # maximal_order(d) checks d; every element over that order's d skips the check
+    from zdcert.quadratic import _check_d
+
+    calls = _count_calls(monkeypatch, _check_d)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == [1]
+
+
+def test_one_run_tests_each_quartic_prime_once(monkeypatch):
+    # 17 and 19 once each in NewformDatum and once each in frobenius_charpoly; 2 and 3,
+    # the primes up to the Minkowski bound of Q(√10), twice each in class_group
+    from zdcert.quadratic import is_prime
+
+    calls = _count_calls(monkeypatch, is_prime)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == [8]
 
 
 def test_golden_charpoly_optional():

@@ -34,6 +34,17 @@ def test_classgroup_loads_only_its_layers():
     assert not loaded & {f"zdcert.{m}" for m in ("polynomials", "weil", "steinitz", "monoidring", "certify")}
 
 
+@pytest.mark.parametrize("args", [["verify", "--bundled"], ["classgroup", "--d", "10"],
+                                  ["weil", "--p", "17", "--a", "4", "--b", "-1", "--d", "10"]],
+                         ids=lambda args: args[0])
+def test_cli_imports_neither_dataclasses_nor_inspect(args):
+    # -S: no site, so whatever a .pth file imports is not counted against zdcert
+    code = (f"import sys\nfrom zdcert.cli import main\nassert main({args!r}) == 0\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)")
+    result = _python("-S", "-c", code, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, "\n")
+
+
 def test_package_exports_resolve_to_their_submodules():
     assert len(set(zdcert.__all__)) == len(zdcert.__all__)
     for name in zdcert.__all__:

@@ -1,6 +1,7 @@
 """Fuzzing of the input layer: any JSON value, mutated dataset or file bytes given to
 parse_input / load_input ends in a VerificationInput or an InputDataError, and
-nothing else, in bounded time.
+nothing else, in bounded time; every input that parses then goes through
+run_certificate, to_json and render_text in bounded time without raising.
 """
 
 import copy
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zdcert.certify import VerificationInput, load_input, parse_input
+from zdcert.certify import VerificationInput, load_input, parse_input, run_certificate
 from zdcert.cli import bundled_dataset_path
 from zdcert.errors import InputDataError
 
@@ -65,6 +66,26 @@ def mutated_datasets(draw):
     return raw
 
 
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+INTEGER_PATHS = [path for path in BUNDLED_PATHS if type(_at(BUNDLED, path)) is int]
+
+
+@st.composite
+def integer_mutated_datasets(draw):
+    """The bundled dataset with one to three integers replaced by small or edge integers,
+    so that many still parse and reach every check."""
+    raw = copy.deepcopy(BUNDLED)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(INTEGER_PATHS))
+        _at(raw, path[:-1])[path[-1]] = draw(st.integers(-30, 30) | st.sampled_from(_EDGE_INTEGERS))
+    return raw
+
+
 def _bounded(call, *args):
     t0 = time.perf_counter()
     try:
@@ -73,6 +94,11 @@ def _bounded(call, *args):
         result = None
     assert time.perf_counter() - t0 < SECONDS_PER_CALL, args
     assert result is None or isinstance(result, VerificationInput)
+    if result is not None:
+        t0 = time.perf_counter()
+        cert = run_certificate(result)
+        assert cert.verdict in ("pass", "fail") and cert.to_json() and cert.render_text()
+        assert time.perf_counter() - t0 < SECONDS_PER_CALL, args
 
 
 @FUZZ
@@ -84,6 +110,12 @@ def test_parse_input_on_any_json_value(raw):
 @FUZZ
 @given(mutated_datasets())
 def test_parse_input_on_mutated_bundled_dataset(raw):
+    _bounded(parse_input, raw)
+
+
+@FUZZ
+@given(integer_mutated_datasets())
+def test_certificate_on_integer_mutations_of_bundled_dataset(raw):
     _bounded(parse_input, raw)
 
 

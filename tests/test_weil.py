@@ -80,6 +80,29 @@ def test_weil_bound_enforced():
         frobenius_charpoly(QuadElement(10, Fraction(1, 2), 0), 17)  # not integral
 
 
+def test_frobenius_charpoly_tests_the_prime_first():
+    # a_p = 40 breaks the Weil bound at every p < 400, but a composite p is reported first
+    with pytest.raises(ValueError, match="^15 is not prime$"):
+        frobenius_charpoly(QuadElement(10, 40, 0), 15)
+
+
+def test_norm_form_passes_the_checks_frobenius_charpoly_skips():
+    # frobenius_charpoly builds its WeilQuartic without re-validation; the public
+    # constructor, which runs every check, accepts the same fields
+    built = 0
+    for d in (2, 5, 10, 13):
+        for p in (2, 3, 17, 101):
+            for x in range(-20, 21):
+                for y in range(-4, 5):
+                    try:
+                        quartic = frobenius_charpoly(QuadElement(d, x, y), p)
+                    except InvalidEigenvalueError:
+                        continue
+                    assert WeilQuartic(quartic.p, quartic.poly) == quartic
+                    built += 1
+    assert built > 500
+
+
 def test_integer_weil_bound_matches_the_embedding_signs():
     # frobenius_charpoly decides r^2 <= 4p at both conjugates r from the trace and
     # norm alone; the oracle is the sign of a^2 - 4p under each real embedding
