@@ -7,8 +7,10 @@ otherwise.  A fractional ideal is stored in two-generator normal form
 
 which is unique per ideal.  The real-quadratic reduction operator is the
 continued-fraction step on the quadratic irrational (b_D + sqrt(D)) / (2a),
-tracked exactly through (P, Q) integer pairs; principality, canonical class
-representatives and fundamental units all come out of its cycle structure.
+tracked exactly through (P, Q) integer pairs; principality and fundamental
+units come out of its cycle structure.  Ideal classes are computed as reduced
+primitive forms (a, b) of discriminant D, composed and reduced; an ideal is
+built only at the API boundary, when a class is returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import MismatchError, ResourceLimitError
 from .quadratic import QuadElement, Rat, _Value, _check_d, _element, binary_power, is_prime
@@ -102,11 +104,12 @@ class FracIdeal(_Value):
     def __init__(self, order: QuadOrder, a: int, b: int, scale: Rat = 1):
         scale = Fraction(scale)
         if a <= 0:
-            raise ValueError(f"ideal parameter a must be positive, got {a}")
+            raise ValueError(f"ideal parameter a must be positive, got {_brief(a)}")
         if scale <= 0:
             raise ValueError(f"ideal scale must be positive, got {scale}")
         b %= a
         if order.norm_b_plus_omega(b) % a != 0:
+            a, b = _brief(a), _brief(b)
             raise ValueError(f"({a}, {b} + ω) is not an ideal: {a} does not divide N({b} + ω)")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "a", a)
@@ -165,15 +168,21 @@ class FracIdeal(_Value):
         return binary_power(self, n, unit_ideal(self.order))
 
     def conjugate(self) -> "FracIdeal":
-        tr = self.order.omega_trace
-        return ideal_from_generators(
-            self.order, [(self.a, 0), (self.b + tr, -1)], self.scale
-        )
+        # b + w' = (b + tr w) - w, so the conjugate is (a, -b - tr w + w)
+        return FracIdeal(self.order, self.a, -self.b - self.order.omega_trace, self.scale)
 
     def __str__(self) -> str:
         w = self.order.omega()
         inner = f"{self.a}Z + ({self.b} + {w})Z"
         return inner if self.scale == 1 else f"({self.scale})({inner})"
+
+
+def _brief(n: int) -> str:
+    """n in decimal, or "<N-digit integer>" when it has more than 30 digits."""
+    digits = abs(n).bit_length() * 30102 // 100000  # never above the digit count: 0.30102 < log10(2)
+    while 10**digits <= abs(n):
+        digits += 1
+    return str(n) if digits <= 30 else f"<{digits}-digit integer>"
 
 
 def ideal_from_generators(
@@ -258,13 +267,9 @@ def is_principal(ideal: FracIdeal) -> bool:
 
 def principal_generator(ideal: FracIdeal) -> QuadElement | None:
     """A generator alpha with (alpha) = I, or None when I is not principal."""
-    order = ideal.order
-    if not order.is_real:
-        alpha = _imaginary_generator(ideal)
-    else:
-        alpha = _real_generator(ideal)
+    alpha = _real_generator(ideal) if ideal.order.is_real else _imaginary_generator(ideal)
     if alpha is not None:
-        assert principal_ideal(order, alpha) == ideal
+        assert principal_ideal(ideal.order, alpha) == ideal
     return alpha
 
 
@@ -288,55 +293,73 @@ def _real_generator(ideal: FracIdeal) -> QuadElement | None:
 
 def _imaginary_generator(ideal: FracIdeal) -> QuadElement | None:
     order = ideal.order
-    prim = ideal.primitive_part()
-    a, b, c = _form_of(prim)
-    ra, _, _ = _reduce_form(a, b, c, order.disc)
-    if ra != 1:
+    a, b = _form_of(ideal)
+    if _reduce_form(a, b, order.disc)[0] != 1:
         return None
-    # the associated positive form represents 1; such (x, y) gives the generator
-    for y in range(-isqrt(4 * a // abs(order.disc)) - 1, isqrt(4 * a // abs(order.disc)) + 2):
+    # the form represents 1 at some (x, y), where (2ax + by)^2 = 4a + D y^2; then
+    # x*a + y*(b_I + w) has the norm of the primitive ideal, so it generates it
+    m = isqrt(4 * a // -order.disc)
+    for y in range(-m, m + 1):
         rhs = 4 * a + order.disc * y * y
-        if rhs < 0:
-            continue
         s = isqrt(rhs)
-        if s * s != rhs:
-            continue
-        for sgn in (s, -s):
-            num = sgn - b * y
-            if num % (2 * a):
-                continue
-            x = num // (2 * a)
-            alpha = ideal.scale * (
-                x * _element(order.d, prim.a)
-                + y * (_element(order.d, prim.b) + order.omega())
-            )
-            if not alpha.is_zero():
-                return alpha
+        for num in (s - b * y, -s - b * y):
+            if s * s == rhs and num % (2 * a) == 0:
+                return ideal.scale * order.from_coords(num // 2 + y * ideal.b, y)  # x*a = num/2
     raise AssertionError("reduced form is principal but no generator was found")
 
 
-def _form_of(ideal: FracIdeal) -> tuple[int, int, int]:
-    """The integral binary quadratic form N(a*x + (b+w)*y) / a of discriminant D."""
-    order = ideal.order
-    a = ideal.a
-    bd = 2 * ideal.b + order.omega_trace
-    c = order.norm_b_plus_omega(ideal.b) // a
-    return a, bd, c
+def _form_of(ideal: FracIdeal) -> tuple[int, int]:
+    """The form N(a x + (b + w) y) / a of the ideal's primitive part, as the pair (a, 2b + tr w):
+    (a, b) stands for the primitive form a x^2 + b xy + (b^2 - D)/4a y^2 of discriminant D."""
+    return ideal.a, 2 * ideal.b + ideal.order.omega_trace
 
 
-def _reduce_form(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
+def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+    """Dirichlet composition of the primitive forms f and g of discriminant
+    disc, unreduced (Cohen, Alg. 5.4.7): a3 = a1 a2 / e^2 with e = gcd(a1, a2,
+    (b1 + b2)/2), and b3 = b1 mod 2a1/e, b3 = b2 mod 2a2/e, b3^2 = disc mod 4a3."""
+    (a1, b1), (a2, b2) = f, g
+    s = (b1 + b2) // 2
+    d, y1, _ = _xgcd(a2, a1)
+    e, x2, y2 = _xgcd(s, d)
+    v1, v2 = a1 // e, a2 // e
+    r = (y1 * y2 * (s - b2) - x2 * ((b2 * b2 - disc) // (4 * a2))) % v1
+    return v1 * v2, b2 + 2 * v2 * r
+
+
+def _reduce_form(a: int, b: int, disc: int) -> tuple[int, int]:
     """Gauss reduction of a positive definite form (disc < 0)."""
     while True:
-        if b <= -a or b > a:
-            k = (a - b) // (2 * a)
-            b = b + 2 * a * k
-            c = (b * b - disc) // (4 * a)
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if a == c and b < 0:
-            b = -b
-        return a, b, c
+        b += 2 * a * ((a - b) // (2 * a))  # -a < b <= a
+        c = (b * b - disc) // (4 * a)
+        if a <= c:
+            return a, -b if a == c and b < 0 else b
+        a, b = c, -b
+
+
+def _reduced(order: QuadOrder, form: tuple[int, int], seen: dict) -> tuple[int, int]:
+    """The one reduced form of the class of form: Gauss-reduced if imaginary.
+
+    Real case: walk the continued-fraction states from (b mod 2a, 2a) until
+    one is in seen or the walk closes a new cycle, whose least (q/2, p mod q)
+    is the representative; every state walked is then recorded in seen with
+    it, since each step keeps the class.
+    """
+    a, b = form
+    if not order.is_real:
+        return _reduce_form(a, b, order.disc)
+    state = (b % (2 * a), 2 * a)
+    path: dict[tuple[int, int], int] = {}
+    while state not in seen and state not in path:
+        if len(path) > _MAX_STEPS:
+            raise ResourceLimitError("reduction orbit failed to close")
+        path[state] = len(path)
+        state = _cf_step(order, *state)
+    rep = seen.get(state)
+    if rep is None:
+        rep = min((q // 2, p % q) for p, q in islice(path, path[state], None))
+    seen.update(dict.fromkeys(path, rep))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +372,7 @@ class IdealClass(_Value):
 
     Real case: the cycle ideal minimizing (norm, a, b); imaginary case: the
     ideal of the Gauss-reduced form.  Equal representatives characterize
-    equivalent ideals.
+    equivalent ideals.  Products and inverses compose and reduce forms.
     """
 
     __slots__ = ("rep",)
@@ -379,7 +402,8 @@ class IdealClass(_Value):
     def __mul__(self, other: "IdealClass") -> "IdealClass":
         if self.order != other.order:
             raise MismatchError("ideal classes live over different orders")
-        return ideal_class(self.rep * other.rep)
+        form = _compose(self.order.disc, _form_of(self.rep), _form_of(other.rep))
+        return _class_of(self.order, _reduced(self.order, form, {}))
 
     def __pow__(self, n: int) -> "IdealClass":
         if n < 0:
@@ -387,43 +411,23 @@ class IdealClass(_Value):
         return binary_power(self, n, trivial_class(self.order))
 
     def inverse(self) -> "IdealClass":
-        return ideal_class(self.rep.conjugate())
+        # the conjugate ideal's form is (a, -b)
+        a, b = _form_of(self.rep)
+        return _class_of(self.order, _reduced(self.order, (a, -b), {}))
 
     def __str__(self) -> str:
         return f"[{self.rep}]"
 
 
 def ideal_class(ideal: FracIdeal) -> IdealClass:
-    return _class_of(ideal, {})
+    """The class of ideal (its scale is ignored)."""
+    return _class_of(ideal.order, _reduced(ideal.order, _form_of(ideal), {}))
 
 
-def _class_of(ideal: FracIdeal, seen: dict[tuple[int, int], IdealClass]) -> IdealClass:
-    """The class of ideal (its scale is ignored).
-
-    Real case: walk the continued-fraction states until one is in seen or
-    the walk closes a new cycle, whose least (a, b) = (q/2, ((p mod q) -
-    tr w)/2) is the representative; every state walked is then recorded in
-    seen with the class, since each step keeps the class.
-    """
-    order = ideal.order
-    if not order.is_real:
-        a, b, c = _form_of(ideal)
-        ra, rb, _ = _reduce_form(a, b, c, order.disc)
-        return IdealClass(FracIdeal(order, ra, ((rb % (2 * ra)) - order.omega_trace) // 2))
-    state = _state_of(ideal)
-    path: dict[tuple[int, int], int] = {}
-    while state not in seen and state not in path:
-        if len(path) > _MAX_STEPS:
-            raise ResourceLimitError("reduction orbit failed to close")
-        path[state] = len(path)
-        state = _cf_step(order, *state)
-    cls = seen.get(state)
-    if cls is None:
-        tr = order.omega_trace
-        cycle = islice(path, path[state], None)
-        cls = IdealClass(FracIdeal(order, *min((q // 2, ((p % q) - tr) // 2) for p, q in cycle)))
-    seen.update(dict.fromkeys(path, cls))
-    return cls
+def _class_of(order: QuadOrder, form: tuple[int, int]) -> IdealClass:
+    """The class whose reduced form is form, with its ideal."""
+    a, b = form
+    return IdealClass(FracIdeal(order, a, (b - order.omega_trace) // 2))
 
 
 def trivial_class(order: QuadOrder) -> IdealClass:
@@ -464,10 +468,7 @@ class ClassGroup(_Value):
 
     @property
     def h(self) -> int:
-        n = 1
-        for k in self.invariants:
-            n *= k
-        return n
+        return prod(self.invariants)
 
     def nontrivial_classes(self) -> tuple[IdealClass, ...]:
         return tuple(c for c in self.classes if not c.is_trivial)
@@ -490,6 +491,11 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
     """Degree-one prime ideals over p: empty when p is inert."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _ideals_above_prime(order, p)
+
+
+def _ideals_above_prime(order: QuadOrder, p: int) -> list[FracIdeal]:
+    """prime_ideals_above for a p known to be prime."""
     if p > 2 and pow(order.disc, (p - 1) // 2, p) == p - 1:
         return []  # Euler's criterion: disc is a non-residue, so p is inert
     b = next((b for b in range(p) if order.norm_b_plus_omega(b) % p == 0), None)
@@ -502,31 +508,32 @@ def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
 def class_group(order: QuadOrder) -> ClassGroup:
     """Structure of Pic(O) from the norm <= Minkowski-bound prime ideals.
 
-    Each generator class g not yet reached extends the group H reached so far
-    by the cosets H*g, H*g^2, ... until g^n lies in H: one multiplication per
-    new class.  Each stop gives a relation row n*e_g - (digits of g^n in H);
-    the rows form a triangular matrix of determinant h, whose Smith-form
-    diagonal is the invariants.
+    Classes are computed as reduced primitive forms (see _reduced).  Each
+    generator class g not yet reached extends the group H reached so far by
+    the cosets H*g, H*g^2, ... until g^n lies in H: one composition per new
+    class.  Each stop gives a relation row n*e_g - (digits of g^n in H); the
+    rows form a triangular matrix of determinant h, whose Smith-form diagonal
+    is the invariants.  Each class becomes an ideal once, at the end.
 
     Works for any fundamental discriminant; QuadOrder's cap |d| <= CLASS_GROUP_BOUND
     keeps the prime enumeration and reduction cycles at desk scale.
     """
-    above = [prime_ideals_above(order, p) for p in range(2, minkowski_bound(order) + 1) if is_prime(p)]
+    above = [_ideals_above_prime(order, p) for p in range(2, minkowski_bound(order) + 1) if is_prime(p)]
     gens = [i for ideals in above for i in ideals]
 
-    # every continued-fraction state walked in this call, with its class
-    seen: dict[tuple[int, int], IdealClass] = {}
+    # every continued-fraction state walked in this call, with its reduced form
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def times(x: IdealClass, g: IdealClass) -> IdealClass:
-        return _class_of(x.rep * g.rep, seen)
+    def times(x: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+        return _reduced(order, _compose(order.disc, x, g), seen)
 
     # elems[i] is the product of g_j^(e_j), e = the digits of i in radices n_j
-    elems = [trivial_class(order)]
+    elems = [(1, order.omega_trace)]
     index = {elems[0]: 0}
     radices: list[int] = []
     relations: list[list[int]] = []
     # the conjugate prime's class is the inverse, in H once the first one is
-    for g in dict.fromkeys(_class_of(ideals[0], seen) for ideals in above if ideals):
+    for g in dict.fromkeys(_reduced(order, _form_of(ideals[0]), seen) for ideals in above if ideals):
         if g in index:
             continue
         size = len(elems)
@@ -543,7 +550,7 @@ def class_group(order: QuadOrder) -> ClassGroup:
 
     invariants = _smith_invariants([row + [0] * (len(radices) - len(row)) for row in relations])
     assert prod(invariants) == len(elems)
-    ordered = tuple(sorted(elems, key=IdealClass.key))
+    ordered = tuple(sorted((_class_of(order, f) for f in elems), key=IdealClass.key))
     return ClassGroup(order, invariants, ordered, tuple(gens))
 
 
@@ -572,12 +579,3 @@ def _smith_invariants(m: list[list[int]]) -> tuple[int, ...]:
             # add that row to row i, then reduce row i modulo the pivot column
             m[i] = [p if l == j else x % p for l, x in enumerate(bad)]
     return tuple(n for n in out if n != 1)
-
-
-def ideals_of_norm_up_to(order: QuadOrder, bound: int) -> Iterator[FracIdeal]:
-    """All primitive integral ideals of norm <= bound (every class is hit
-    once bound reaches the Minkowski bound)."""
-    for a in range(1, bound + 1):
-        for b in range(a):
-            if order.norm_b_plus_omega(b) % a == 0:
-                yield FracIdeal(order, a, b)

@@ -156,6 +156,14 @@ def test_input_validation_errors():
         assert location in str(err.value), raw
 
 
+def test_huge_ideal_error_stays_short():
+    raw = _mutate(DATASET, ["ideal", "a"], 10**3999 + 7)
+    with pytest.raises(InputDataError) as err:
+        parse_input(raw)
+    assert err.value.location == "ideal"
+    assert "<4000-digit integer>" in str(err.value) and len(str(err.value)) < 200
+
+
 # a_p in Z[√65], which has index 2 in the maximal order Z[(1+√65)/2]; every other
 # check passes, so only the conductor of the eigenvalue order stops the deduction
 CONDUCTOR_2_DATASET = {
@@ -251,12 +259,12 @@ def test_one_run_checks_the_field_parameter_once(monkeypatch):
 
 def test_one_run_tests_each_quartic_prime_once(monkeypatch):
     # 17 and 19 once each in NewformDatum and once each in frobenius_charpoly; 2 and 3,
-    # the primes up to the Minkowski bound of Q(√10), twice each in class_group
+    # the primes up to the Minkowski bound of Q(√10), once each in class_group
     from zdcert.quadratic import is_prime
 
     calls = _count_calls(monkeypatch, is_prime)
     assert run_raw(DATASET).verdict == "pass"
-    assert calls == [8]
+    assert calls == [6]
 
 
 def test_golden_charpoly_optional():

@@ -11,7 +11,6 @@ from zdcert.orders import (
     class_group,
     fundamental_unit,
     ideal_class,
-    ideals_of_norm_up_to,
     is_principal,
     maximal_order,
     minkowski_bound,
@@ -101,6 +100,15 @@ def wide_h_by_forms(order) -> int:
         return h_plus
     assert h_plus % 2 == 0
     return h_plus // 2
+
+
+def ideals_of_norm_up_to(order, bound: int):
+    """All primitive integral ideals of norm <= bound (every class is hit
+    once bound reaches the Minkowski bound)."""
+    for a in range(1, bound + 1):
+        for b in range(a):
+            if order.norm_b_plus_omega(b) % a == 0:
+                yield FracIdeal(order, a, b)
 
 
 def h_by_pairwise_equivalence(order) -> int:
@@ -489,6 +497,44 @@ def test_class_group_multiplies_once_per_new_class(monkeypatch):
         cg = class_group(maximal_order(d))
         assert cg.invariants == invariants
         assert calls <= cg.h + cg.h.bit_length(), d
+
+
+def test_class_group_composes_once_per_new_class(monkeypatch):
+    from zdcert import orders
+
+    calls = 0
+    compose = orders._compose
+
+    def counting(disc, f, g):
+        nonlocal calls
+        calls += 1
+        return compose(disc, f, g)
+
+    monkeypatch.setattr(orders, "_compose", counting)
+    for d, invariants in ((-18185, (2, 80)), (999961, (3,)), (4279, (6,))):
+        calls = 0
+        cg = class_group(maximal_order(d))
+        assert cg.invariants == invariants
+        assert 0 < calls <= cg.h + cg.h.bit_length(), d
+
+
+def test_form_composition_matches_ideal_product():
+    # composing the forms of I and J gives the form of the primitive part of
+    # I * J taken through FracIdeal.__mul__, hence the same class
+    from zdcert import orders
+
+    rng = random.Random(20261018)
+    negative = [d for d in range(-4000, 0) if is_squarefree(d)]
+    positive = [d for d in range(2, 4001) if is_squarefree(d)]
+    for d in rng.sample(negative, 10) + rng.sample(positive, 10):
+        order = maximal_order(d)
+        for _ in range(40):
+            i1, i2 = _random_ideal(rng, order, max_a=200), _random_ideal(rng, order, max_a=200)
+            a, b = orders._compose(order.disc, orders._form_of(i1), orders._form_of(i2))
+            product = i1 * i2
+            assert (a, b % (2 * a)) == orders._form_of(product), (d, i1, i2)
+            composed = orders._class_of(order, orders._reduced(order, (a, b), {}))
+            assert composed == ideal_class(product) == ideal_class(i1) * ideal_class(i2), (d, i1, i2)
 
 
 def test_class_group_classes_match_fresh_reductions_real():
