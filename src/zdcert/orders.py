@@ -5,12 +5,12 @@ otherwise.  A fractional ideal is stored in two-generator normal form
 
     I = s * (Z*a + Z*(b + w)),   s a positive rational, a > 0, 0 <= b < a,
 
-which is unique per ideal.  The real-quadratic reduction operator is the
-continued-fraction step on the quadratic irrational (b_D + sqrt(D)) / (2a),
-tracked exactly through (P, Q) integer pairs; principality and fundamental
-units come out of its cycle structure.  Ideal classes are computed as reduced
-primitive forms (a, b) of discriminant D, composed and reduced; an ideal is
-built only at the API boundary, when a class is returned.
+which is unique per ideal.  Ideal classes are computed as reduced primitive
+forms (a, b) of discriminant D, composed and reduced (real fields walk the
+continued fraction of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs);
+an ideal is built only when a class is returned.  An ideal is principal when
+its reduced class is trivial; a real ideal's generator and the fundamental
+unit come from one walk, the product of complete quotients up to the unit ideal.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class QuadOrder(_Value):
     def __init__(self, d: int):
         object.__setattr__(self, "d", _check_d(d))
         object.__setattr__(self, "disc", d if d % 4 == 1 else 4 * d)
-
-    # _Value's field-tuple hash, spelled out for speed: each ideal's and class's hash includes it
-    def __hash__(self):
-        return hash((self.d, self.disc))
 
     @property
     def is_real(self) -> bool:
@@ -116,15 +112,6 @@ class FracIdeal(_Value):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "scale", scale)
 
-    # _Value's field-tuple equality and hash, spelled out for speed: class groups key by classes
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.a, self.b, self.scale) == (other.order, other.a, other.b, other.scale)
-
-    def __hash__(self):
-        return hash((self.order, self.a, self.b, self.scale))
-
     def _same_order(self, other: "FracIdeal") -> None:
         if self.order != other.order:
             raise MismatchError("ideals live over different orders")
@@ -134,9 +121,6 @@ class FracIdeal(_Value):
 
     def is_integral(self) -> bool:
         return self.scale.denominator == 1
-
-    def primitive_part(self) -> "FracIdeal":
-        return FracIdeal(self.order, self.a, self.b)
 
     def generators(self) -> tuple[QuadElement, QuadElement]:
         w = self.order.omega()
@@ -161,11 +145,6 @@ class FracIdeal(_Value):
         return ideal_from_generators(o, gens, self.scale * other.scale)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "FracIdeal":
-        if n < 0:
-            raise ValueError("negative ideal powers are not supported; use conjugate()")
-        return binary_power(self, n, unit_ideal(self.order))
 
     def conjugate(self) -> "FracIdeal":
         # b + w' = (b + tr w) - w, so the conjugate is (a, -b - tr w + w)
@@ -257,45 +236,43 @@ def _theta(order: QuadOrder, p: int, q: int) -> QuadElement:
     return _element(order.d, Fraction(p, q), Fraction(root_coeff, q))
 
 
-def _state_of(ideal: FracIdeal) -> tuple[int, int]:
-    return (2 * ideal.b + ideal.order.omega_trace, 2 * ideal.a)
+def _quotient_product(order: QuadOrder, p: int, q: int) -> QuadElement:
+    """The product of the complete quotients (p_i + sqrt(D)) / q_i of the states
+    after (p, q), up to the first with q_i = 2, which only a principal class
+    reaches: (q/2) / product then generates the ideal of (p, q), and from the
+    unit ideal's (tr w, 2) the product is the fundamental unit."""
+    product = _element(order.d, 1)
+    for _ in range(_MAX_STEPS):
+        p, q = _cf_step(order, p, q)
+        product = product * _theta(order, p, q)
+        if q == 2:
+            return product
+    raise ResourceLimitError("continued-fraction walk failed to reach the unit ideal")
 
 
 def is_principal(ideal: FracIdeal) -> bool:
-    return principal_generator(ideal) is not None
+    return ideal_class(ideal).is_trivial
 
 
 def principal_generator(ideal: FracIdeal) -> QuadElement | None:
     """A generator alpha with (alpha) = I, or None when I is not principal."""
-    alpha = _real_generator(ideal) if ideal.order.is_real else _imaginary_generator(ideal)
-    if alpha is not None:
-        assert principal_ideal(ideal.order, alpha) == ideal
+    if not is_principal(ideal):
+        return None
+    order = ideal.order
+    if not order.is_real:
+        alpha = _imaginary_generator(ideal)
+    elif ideal.a == 1:
+        alpha = _element(order.d, ideal.scale)
+    else:
+        a, b = _form_of(ideal)
+        alpha = _element(order.d, ideal.scale * a) / _quotient_product(order, b, 2 * a)
+    assert principal_ideal(order, alpha) == ideal
     return alpha
 
 
-def _real_generator(ideal: FracIdeal) -> QuadElement | None:
-    order = ideal.order
-    p, q = _state_of(ideal.primitive_part())
-    multiplier = _element(order.d, 1)
-    if q == 2:
-        return _element(order.d, ideal.scale * ideal.a)
-    seen = {(p, q)}
-    for _ in range(_MAX_STEPS):
-        p, q = _cf_step(order, p, q)
-        multiplier = multiplier * _theta(order, p, q)
-        if q == 2:
-            return _element(order.d, ideal.scale * ideal.a) / multiplier
-        if (p, q) in seen:
-            return None
-        seen.add((p, q))
-    raise ResourceLimitError("principality test failed to terminate")
-
-
-def _imaginary_generator(ideal: FracIdeal) -> QuadElement | None:
+def _imaginary_generator(ideal: FracIdeal) -> QuadElement:
     order = ideal.order
     a, b = _form_of(ideal)
-    if _reduce_form(a, b, order.disc)[0] != 1:
-        return None
     # the form represents 1 at some (x, y), where (2ax + by)^2 = 4a + D y^2; then
     # x*a + y*(b_I + w) has the norm of the primitive ideal, so it generates it
     m = isqrt(4 * a // -order.disc)
@@ -305,7 +282,7 @@ def _imaginary_generator(ideal: FracIdeal) -> QuadElement | None:
         for num in (s - b * y, -s - b * y):
             if s * s == rhs and num % (2 * a) == 0:
                 return ideal.scale * order.from_coords(num // 2 + y * ideal.b, y)  # x*a = num/2
-    raise AssertionError("reduced form is principal but no generator was found")
+    raise AssertionError("the ideal is principal but no generator was found")
 
 
 def _form_of(ideal: FracIdeal) -> tuple[int, int]:
@@ -380,14 +357,6 @@ class IdealClass(_Value):
     def __init__(self, rep: FracIdeal):
         object.__setattr__(self, "rep", rep)
 
-    def __eq__(self, other):  # spelled out as for FracIdeal
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.rep,))
-
     @property
     def order(self) -> QuadOrder:
         return self.rep.order
@@ -447,15 +416,9 @@ def fundamental_unit(order: QuadOrder) -> QuadElement:
     """
     if not order.is_real:
         raise ValueError("fundamental units exist only for real quadratic orders")
-    p, q = order.omega_trace, 2
-    unit = _element(order.d, 1)
-    for _ in range(_MAX_STEPS):
-        p, q = _cf_step(order, p, q)
-        unit = unit * _theta(order, p, q)
-        if q == 2:
-            assert abs(unit.norm()) == 1
-            return unit
-    raise ResourceLimitError("fundamental unit computation failed to terminate")
+    unit = _quotient_product(order, order.omega_trace, 2)
+    assert abs(unit.norm()) == 1
+    return unit
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 from .errors import MismatchError, ResourceLimitError
 
@@ -105,10 +106,16 @@ class _Value:
     Equality and hash go by the field tuple, and only between instances of the
     same class; assignment and deletion raise AttributeError; repr is
     Name(field=value, ...).  __init__ takes the fields in order, unchecked.
-    Classes that dicts and sets key by on hot paths spell these methods out.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        # the field tuple of an instance: attrgetter of one name gives the bare value
+        get = attrgetter(*names) if len(names) > 1 else lambda x, name=names[0]: (getattr(x, name),)
+        cls._fields = staticmethod(get)
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
@@ -116,16 +123,13 @@ class _Value:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._fields() == other._fields()
+        return self is other or self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

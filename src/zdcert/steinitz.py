@@ -28,15 +28,6 @@ class ModuleClass(_Value):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "steinitz", steinitz)
 
-    # _Value's field-tuple equality and hash, spelled out for speed: monoid-ring terms key by these
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.steinitz) == (other.rank, other.steinitz)
-
-    def __hash__(self):
-        return hash((self.rank, self.steinitz))
-
     @property
     def order(self) -> QuadOrder:
         return self.steinitz.order
@@ -88,14 +79,6 @@ class AVClass(_Value):
     def __init__(self, base_tag: str, module: ModuleClass):
         object.__setattr__(self, "base_tag", base_tag)
         object.__setattr__(self, "module", module)
-
-    def __eq__(self, other):  # spelled out as for ModuleClass
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base_tag, self.module) == (other.base_tag, other.module)
-
-    def __hash__(self):
-        return hash((self.base_tag, self.module))
 
     def __str__(self) -> str:
         return f"{self.module} (x) {self.base_tag}"

@@ -270,6 +270,57 @@ def test_principal_generator_witnesses_random():
             assert principal_ideal(order, witness) == ideal
 
 
+def generator_by_norm_search(ideal, eps: int):
+    """Independent principality oracle for a primitive ideal I = (a, b + w), given
+    an integer eps at least the fundamental unit (1 when imaginary): coordinates
+    (u, y) of some u + y*w = x*a + y*(b + w) of norm +-a, hence a generator of I,
+    or None.  Units move any generator until both of its embeddings are at most
+    sqrt(a * eps), which bounds |y| by sqrt(a) * (eps + 1); for each such y,
+    N(u + y*w) = +-a is the quadratic (2u + y tr w)^2 = D y^2 +- 4a in u."""
+    order, a, b = ideal.order, ideal.a, ideal.b
+    bound = (isqrt(a) + 1) * (eps + 1)
+    for y in range(-bound, bound + 1):
+        for rhs in (order.disc * y * y + 4 * a, order.disc * y * y - 4 * a):
+            r = isqrt(max(rhs, 0))
+            if r * r != rhs:
+                continue
+            for twice_u in (r - order.omega_trace * y, -r - order.omega_trace * y):
+                if twice_u % 2 == 0 and (twice_u // 2 - y * b) % a == 0:
+                    return twice_u // 2, y
+    return None
+
+
+def test_principality_matches_norm_equation_search(monkeypatch):
+    muls = 0
+    multiply = QuadElement.__mul__
+
+    def counting(self, other):
+        nonlocal muls
+        muls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(QuadElement, "__mul__", counting)
+    outcomes = set()
+    for d in (2, 3, 5, 6, 7, 10, 15, 79, 82, 130, -5, -21, -23):
+        order = maximal_order(d)
+        # eps < 2 Re(eps) + 1, since its conjugate is +-1/eps
+        eps = int(2 * pell_fundamental(d).a) + 1 if d > 0 else 1
+        for ideal in ideals_of_norm_up_to(order, 60):
+            found = generator_by_norm_search(ideal, eps)
+            assert is_principal(ideal) == (found is not None), (d, ideal)
+            muls = 0
+            gen = principal_generator(ideal)
+            if found is None:
+                assert gen is None, (d, ideal)
+                # a nonprincipal ideal is decided on its reduced form, with no element arithmetic
+                assert muls == 0, (d, ideal)
+            else:
+                assert principal_ideal(order, order.from_coords(*found)) == ideal
+                assert gen is not None and principal_ideal(order, gen) == ideal, (d, ideal)
+            outcomes.add((d > 0, found is not None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_scaled_ideals_keep_principality_class():
     ideal = FracIdeal(O10, 2, 0, Fraction(3, 7))
     assert not is_principal(ideal)
@@ -496,7 +547,8 @@ def test_class_group_multiplies_once_per_new_class(monkeypatch):
         calls = 0
         cg = class_group(maximal_order(d))
         assert cg.invariants == invariants
-        assert calls <= cg.h + cg.h.bit_length(), d
+        # classes are composed as forms (counted in the next test), never as ideal products
+        assert calls == 0, d
 
 
 def test_class_group_composes_once_per_new_class(monkeypatch):
@@ -563,28 +615,30 @@ def test_conjugate_prime_class_is_inverse():
 def test_class_group_reduces_one_ideal_per_prime_and_each_state_once(monkeypatch):
     from zdcert import orders
 
-    order = maximal_order(999961)
-    primes = [p for p in range(2, minkowski_bound(order) + 1)
-              if is_prime(p) and prime_ideals_above(order, p)]
     reductions, steps = 0, []
-    state_of, cf_step = orders._state_of, orders._cf_step
+    reduced, cf_step = orders._reduced, orders._cf_step
 
-    def counting_state_of(ideal):
+    def counting_reduced(order, form, seen):
         nonlocal reductions
         reductions += 1
-        return state_of(ideal)
+        return reduced(order, form, seen)
 
     def recording_cf_step(o, p, q):
         steps.append((p, q))
         return cf_step(o, p, q)
 
-    monkeypatch.setattr(orders, "_state_of", counting_state_of)
+    monkeypatch.setattr(orders, "_reduced", counting_reduced)
     monkeypatch.setattr(orders, "_cf_step", recording_cf_step)
-    cg = class_group(order)
-    assert cg.invariants == (3,)
-    # one reduction per prime with an ideal above it, plus one per coset product
-    assert reductions <= len(primes) + cg.h + cg.h.bit_length()
-    assert len(steps) == len(set(steps))
+    for d, invariants in ((-18185, (2, 80)), (999961, (3,)), (4279, (6,))):
+        order = maximal_order(d)
+        primes = [p for p in range(2, minkowski_bound(order) + 1)
+                  if is_prime(p) and prime_ideals_above(order, p)]
+        reductions, steps = 0, []
+        cg = class_group(order)
+        assert cg.invariants == invariants
+        # one reduction per prime with an ideal above it, plus one per coset product
+        assert len(primes) <= reductions <= len(primes) + cg.h + cg.h.bit_length(), d
+        assert len(steps) == len(set(steps)), d
 
 
 def test_class_power_zero_is_the_trivial_class_without_a_cycle_walk(monkeypatch):
