@@ -20,7 +20,6 @@ import datetime
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
 
 from .errors import DeductionRefused, InputDataError
 from .monoidring import AVMonoid, albanese_image, zero_divisor_witness
@@ -63,14 +62,14 @@ class Check:
     __slots__ = ("name", "claim", "citation", "provenance", "inputs", "outputs", "verdict")
 
     def __init__(self, name: str, claim: str, citation: str, provenance: str,
-                 inputs: dict[str, Any] | None = None, outputs: dict[str, Any] | None = None,
+                 inputs: dict[str, object] | None = None, outputs: dict[str, object] | None = None,
                  verdict: str | None = None):
         self.name, self.claim, self.citation, self.provenance = name, claim, citation, provenance
         self.inputs = {} if inputs is None else inputs
         self.outputs = {} if outputs is None else outputs
         self.verdict = verdict  # "pass" / "fail" for computed checks, None for assumed
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "name": self.name,
             "claim": self.claim,
@@ -85,7 +84,7 @@ class Check:
 class Certificate:
     __slots__ = ("input_echo", "parameters", "checks", "generated_at")
 
-    def __init__(self, input_echo: dict[str, Any], parameters: dict[str, Any], checks: list[Check],
+    def __init__(self, input_echo: dict[str, object], parameters: dict[str, object], checks: list[Check],
                  generated_at: str):
         self.input_echo, self.parameters, self.checks = input_echo, parameters, checks
         self.generated_at = generated_at
@@ -106,7 +105,7 @@ class Certificate:
     def failed_checks(self) -> list[Check]:
         return [c for c in self.computed_checks if c.verdict != "pass"]
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "input": self.input_echo,
             "parameters": self.parameters,
@@ -162,7 +161,7 @@ def _require(raw: dict, key: str, kind, location: str):
     return value
 
 
-def parse_input(raw: dict[str, Any]) -> VerificationInput:
+def parse_input(raw: dict[str, object]) -> VerificationInput:
     """The validated input, or a located InputDataError; sizes are capped before any factoring."""
     if not isinstance(raw, dict):
         raise InputDataError("input document must be a JSON object")
@@ -290,8 +289,8 @@ def _check_class_group(run: _Run, check: Check) -> str | None:
 def _check_nonprincipal_ideal(run: _Run, check: Check) -> str | None:
     ideal = run.inp.ideal
     check.inputs["ideal"] = str(ideal)
-    gen = principal_generator(ideal)
     cls = ideal_class(ideal)
+    gen = principal_generator(ideal) if cls.is_trivial else None
     square_trivial = (cls * cls).is_trivial
     run.ideal_cls = cls
     check.outputs.update({"principal": gen is not None, "class_square_trivial": square_trivial})

@@ -10,7 +10,7 @@ equality of stored forms.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import MismatchError
 from .orders import QuadOrder
@@ -92,9 +92,6 @@ class AVMonoid(_Value):
         return f"AVMonoid(base {self.base_tag})"
 
 
-Monoid = Union[FreeMonoid, AVMonoid]
-
-
 class MonoidRingElement(_Value):
     """A finite Z-linear combination of monoid elements, in canonical form:
     terms is a tuple of (element, nonzero coefficient) in the monoid's sort order."""
@@ -102,7 +99,7 @@ class MonoidRingElement(_Value):
     __slots__ = ("monoid", "terms")
 
     @staticmethod
-    def build(monoid: Monoid, coefficients: Mapping) -> "MonoidRingElement":
+    def build(monoid: FreeMonoid | AVMonoid, coefficients: Mapping) -> "MonoidRingElement":
         cleaned = {}
         for elem, coeff in coefficients.items():
             monoid.validate(elem)
@@ -172,11 +169,11 @@ class MonoidRingElement(_Value):
         return out
 
 
-def ring_zero(monoid: Monoid) -> MonoidRingElement:
+def ring_zero(monoid: FreeMonoid | AVMonoid) -> MonoidRingElement:
     return MonoidRingElement(monoid, ())
 
 
-def basis_element(monoid: Monoid, elem) -> MonoidRingElement:
+def basis_element(monoid: FreeMonoid | AVMonoid, elem) -> MonoidRingElement:
     return MonoidRingElement.build(monoid, {elem: 1})
 
 
@@ -191,10 +188,9 @@ class ProjectiveSpace(_Value):
         super().__init__(n)
 
 
-FormalFactor = Union[ProjectiveSpace, ModuleClass, AVClass]
-
-
-def albanese_image(monoid: AVMonoid, factors: Iterable[FormalFactor]) -> MonoidRingElement:
+def albanese_image(
+    monoid: AVMonoid, factors: Iterable[ProjectiveSpace | ModuleClass | AVClass]
+) -> MonoidRingElement:
     """Basis element of Z[AV] for a formal product of AV classes and P^n factors.
 
     The Albanese variety is a birational invariant that commutes with

@@ -5,20 +5,22 @@ otherwise.  A fractional ideal is stored in two-generator normal form
 
     I = s * (Z*a + Z*(b + w)),   s a positive rational, a > 0, 0 <= b < a,
 
-which is unique per ideal.  Ideal classes are computed as reduced primitive
-forms (a, b) of discriminant D, composed and reduced (real fields walk the
-continued fraction of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs);
-an ideal is built only when a class is returned.  An ideal is principal when
-its reduced class is trivial; a real ideal's generator and the fundamental
-unit come from one walk, the product of complete quotients up to the unit ideal.
+which is unique per ideal.  Ideals multiply by composing their primitive
+forms (a, b) of discriminant D: the product is the composition's content
+times the ideal of the composed form.  The ideal of a generator c*(x + y*w),
+c its content, is c*(|N(x + y*w)|, x/y + w).  Ideal classes are computed as
+reduced forms, composed and reduced (real fields walk the continued fraction
+of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs); an ideal is built
+only when a class is returned.  An ideal is principal when its reduced class
+is trivial; a real ideal's generator and the fundamental unit come from one
+walk, the product of complete quotients up to the unit ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt, prod
-from typing import Sequence
+from math import gcd, isqrt, lcm, prod
 
 from .errors import MismatchError, ResourceLimitError
 from .quadratic import QuadElement, Rat, _Value, _check_d, _element, binary_power, is_prime
@@ -55,12 +57,6 @@ class QuadOrder(_Value):
     def norm_b_plus_omega(self, b: int) -> int:
         return b * b + self.omega_trace * b + self.omega_norm
 
-    def mul_coords(self, v: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
-        """Product of x1 + y1*w and x2 + y2*w in the (1, w) basis."""
-        x1, y1 = v
-        x2, y2 = w
-        return (x1 * x2 - self.omega_norm * y1 * y2, x1 * y2 + x2 * y1 + self.omega_trace * y1 * y2)
-
     def to_coords(self, x: QuadElement) -> tuple[Fraction, Fraction]:
         if x.d != self.d:
             raise MismatchError(f"element of Q(sqrt({x.d})) used with order of Q(sqrt({self.d}))")
@@ -70,10 +66,6 @@ class QuadOrder(_Value):
 
     def from_coords(self, x: Rat, y: Rat) -> QuadElement:
         return _element(self.d, x) + Fraction(y) * self.omega()
-
-    def contains(self, x: QuadElement) -> bool:
-        cx, cy = self.to_coords(x)
-        return cx.denominator == 1 and cy.denominator == 1
 
 
 def maximal_order(d: int) -> QuadOrder:
@@ -134,15 +126,11 @@ class FracIdeal(_Value):
             return FracIdeal(self.order, self.a, self.b, self.scale * other)
         if isinstance(other, QuadElement):
             return self * principal_ideal(self.order, other)
+        if not isinstance(other, FracIdeal):
+            return NotImplemented
         self._same_order(other)
-        o = self.order
-        gens = [
-            (self.a * other.a, 0),
-            (self.a * other.b, self.a),
-            (other.a * self.b, other.a),
-            o.mul_coords((self.b, 1), (other.b, 1)),
-        ]
-        return ideal_from_generators(o, gens, self.scale * other.scale)
+        form, e = _compose(self.order.disc, _form_of(self), _form_of(other))
+        return _ideal_of(self.order, form, self.scale * other.scale * e)
 
     __rmul__ = __mul__
 
@@ -164,32 +152,6 @@ def _brief(n: int) -> str:
     return str(n) if digits <= 30 else f"<{digits}-digit integer>"
 
 
-def ideal_from_generators(
-    order: QuadOrder, gens: Sequence[tuple[int, int]], scale: Rat = 1
-) -> FracIdeal:
-    """Normal form of the Z-module spanned by x + y*w generators (must be an ideal)."""
-    g_y, wx = 0, 0
-    for x, y in gens:
-        if y:
-            g_new, s, t = _xgcd(g_y, y)
-            wx = s * wx + t * x
-            g_y = g_new
-    if g_y == 0:
-        raise ValueError("generators do not span a rank-2 lattice")
-    xs = [x - (y // g_y) * wx for x, y in gens]
-    g_x = 0
-    for x in xs:
-        g_x = gcd(g_x, x)
-    if g_x == 0:
-        raise ValueError("generators do not span a rank-2 lattice")
-    # an O-stable lattice factors as content * primitive ideal
-    if g_x % g_y or wx % g_y:
-        raise ValueError("generator lattice is not stable under the order")
-    a = g_x // g_y
-    b = (wx // g_y) % a
-    return FracIdeal(order, a, b, Fraction(scale) * g_y)
-
-
 def unit_ideal(order: QuadOrder) -> FracIdeal:
     return FracIdeal(order, 1, 0)
 
@@ -197,11 +159,14 @@ def unit_ideal(order: QuadOrder) -> FracIdeal:
 def principal_ideal(order: QuadOrder, alpha: QuadElement) -> FracIdeal:
     if alpha.is_zero():
         raise ValueError("the zero element generates no fractional ideal")
+    # alpha = c * (x + y*w) with c its content; the primitive x + y*w lies in
+    # (a, b + w) with a = |N(x + y*w)| exactly when b = x/y mod a (y is prime to
+    # a, and a = 1 when y = 0), and both ideals have norm a, so they are equal
     x, y = order.to_coords(alpha)
-    m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    bx, by = int(x * m), int(y * m)
-    gens = [(bx, by), order.mul_coords((bx, by), (0, 1))]
-    return ideal_from_generators(order, gens, Fraction(1, m))
+    content = Fraction(gcd(x.numerator, y.numerator), lcm(x.denominator, y.denominator))
+    x, y = int(x / content), int(y / content)
+    a = abs(x * x + order.omega_trace * x * y + order.omega_norm * y * y)
+    return FracIdeal(order, a, x * pow(y, -1, a), content)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +256,25 @@ def _form_of(ideal: FracIdeal) -> tuple[int, int]:
     return ideal.a, 2 * ideal.b + ideal.order.omega_trace
 
 
-def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+def _ideal_of(order: QuadOrder, form: tuple[int, int], scale: Rat = 1) -> FracIdeal:
+    """scale times the primitive ideal whose form (see _form_of) is form."""
+    a, b = form
+    return FracIdeal(order, a, (b - order.omega_trace) // 2, scale)
+
+
+def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[tuple[int, int], int]:
     """Dirichlet composition of the primitive forms f and g of discriminant
-    disc, unreduced (Cohen, Alg. 5.4.7): a3 = a1 a2 / e^2 with e = gcd(a1, a2,
-    (b1 + b2)/2), and b3 = b1 mod 2a1/e, b3 = b2 mod 2a2/e, b3^2 = disc mod 4a3."""
+    disc, unreduced (Cohen, Alg. 5.4.7): the form (a3, b3) and the content e.
+    a3 = a1 a2 / e^2 with e = gcd(a1, a2, (b1 + b2)/2), and b3 = b1 mod 2a1/e,
+    b3 = b2 mod 2a2/e, b3^2 = disc mod 4a3.  The product of the primitive
+    ideals of f and g is e times the ideal of (a3, b3)."""
     (a1, b1), (a2, b2) = f, g
     s = (b1 + b2) // 2
     d, y1, _ = _xgcd(a2, a1)
     e, x2, y2 = _xgcd(s, d)
     v1, v2 = a1 // e, a2 // e
     r = (y1 * y2 * (s - b2) - x2 * ((b2 * b2 - disc) // (4 * a2))) % v1
-    return v1 * v2, b2 + 2 * v2 * r
+    return (v1 * v2, b2 + 2 * v2 * r), e
 
 
 def _reduce_form(a: int, b: int, disc: int) -> tuple[int, int]:
@@ -369,9 +342,11 @@ class IdealClass(_Value):
         return (self.rep.a, self.rep.b)
 
     def __mul__(self, other: "IdealClass") -> "IdealClass":
+        if not isinstance(other, IdealClass):
+            return NotImplemented
         if self.order != other.order:
             raise MismatchError("ideal classes live over different orders")
-        form = _compose(self.order.disc, _form_of(self.rep), _form_of(other.rep))
+        form, _ = _compose(self.order.disc, _form_of(self.rep), _form_of(other.rep))
         return _class_of(self.order, _reduced(self.order, form, {}))
 
     def __pow__(self, n: int) -> "IdealClass":
@@ -395,8 +370,7 @@ def ideal_class(ideal: FracIdeal) -> IdealClass:
 
 def _class_of(order: QuadOrder, form: tuple[int, int]) -> IdealClass:
     """The class whose reduced form is form, with its ideal."""
-    a, b = form
-    return IdealClass(FracIdeal(order, a, (b - order.omega_trace) // 2))
+    return IdealClass(_ideal_of(order, form))
 
 
 def trivial_class(order: QuadOrder) -> IdealClass:
@@ -488,7 +462,8 @@ def class_group(order: QuadOrder) -> ClassGroup:
     seen: dict[tuple[int, int], tuple[int, int]] = {}
 
     def times(x: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
-        return _reduced(order, _compose(order.disc, x, g), seen)
+        form, _ = _compose(order.disc, x, g)
+        return _reduced(order, form, seen)
 
     # elems[i] is the product of g_j^(e_j), e = the digits of i in radices n_j
     elems = [(1, order.omega_trace)]

@@ -6,8 +6,8 @@ trailing zeros stored; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .quadratic import _Value, binary_power, exact_isqrt
 

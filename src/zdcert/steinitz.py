@@ -10,7 +10,7 @@ argument consumes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import MismatchError
 from .orders import IdealClass, QuadOrder, trivial_class

@@ -267,6 +267,16 @@ def test_one_run_tests_each_quartic_prime_once(monkeypatch):
     assert calls == [6]
 
 
+def test_one_run_reduces_the_chosen_ideal_once(monkeypatch):
+    # check 2 reads principality off the class it reduces; a nonprincipal ideal
+    # needs no second reduction inside principal_generator
+    from zdcert.orders import ideal_class
+
+    calls = _count_calls(monkeypatch, ideal_class)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == [1]
+
+
 def test_golden_charpoly_optional():
     raw = copy.deepcopy(DATASET)
     del raw["paper_charpoly"]

@@ -203,23 +203,60 @@ def test_ideal_multiplication_ring_laws():
             assert (i1 * i2) * i3 == i1 * (i2 * i3)
 
 
+def _contains(ideal, alpha) -> bool:
+    # solve alpha = x + y*w = s*(m*a + n*(b+w)) over the integers
+    x, y = ideal.order.to_coords(alpha)
+    n = y / ideal.scale
+    m = (x / ideal.scale - n * ideal.b) / ideal.a
+    return n.denominator == 1 and m.denominator == 1
+
+
+def _sample_fields(rng) -> list[int]:
+    """10 imaginary and 10 real squarefree d with |d| <= 4000."""
+    negative = [d for d in range(-4000, 0) if is_squarefree(d)]
+    positive = [d for d in range(2, 4001) if is_squarefree(d)]
+    return rng.sample(negative, 10) + rng.sample(positive, 10)
+
+
 def test_ideal_contains_its_generator_products():
-    # each product of the two-generator bases must land back in the product
-    # lattice: recompute membership through the normal form
-    rng = random.Random(20260826)
-    for d in (10, -5):
+    # the generator products span I1 * I2 over Z, so the product ideal contains
+    # them; with the right norm it is no larger, which pins it down
+    rng = random.Random(20261018)
+    for d in [10, -5] + _sample_fields(rng):
         order = maximal_order(d)
-        for _ in range(60):
-            i1, i2 = _random_ideal(rng, order), _random_ideal(rng, order)
-            prod = i1 * i2
+        for _ in range(40):
+            i1 = _random_ideal(rng, order, max_a=200, scaled=True)
+            i2 = _random_ideal(rng, order, max_a=200, scaled=True)
+            product = i1 * i2
+            assert product.norm() == i1.norm() * i2.norm(), (d, i1, i2)
             for g1 in i1.generators():
                 for g2 in i2.generators():
-                    x, y = order.to_coords(g1 * g2)
-                    s = prod.scale
-                    # solve x + y*w = s*(m*a + n*(b+w)) over the integers
-                    n = y / s
-                    m = (x / s - n * prod.b) / prod.a
-                    assert n.denominator == 1 and m.denominator == 1
+                    assert _contains(product, g1 * g2), (d, i1, i2)
+
+
+def test_principal_ideal_contains_its_generator_with_its_norm():
+    # alpha in the ideal gives (alpha) inside it, and equal norms give equality
+    rng = random.Random(20261019)
+    for d in [10, -5, -1, -3, 5, 13] + _sample_fields(rng):
+        order = maximal_order(d)
+        for bound in (1, 3, 100, 10**6):
+            for _ in range(15):
+                x = Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+                y = Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+                if x == y == 0:
+                    continue
+                alpha = order.from_coords(x, y)
+                ideal = principal_ideal(order, alpha)
+                assert _contains(ideal, alpha), (d, alpha)
+                assert ideal.norm() == abs(alpha.norm()), (d, alpha)
+
+
+def test_unsupported_operands_raise_type_error():
+    ideal = FracIdeal(O10, 2, 0)
+    for product in (lambda: ideal * 2.5, lambda: 2.5 * ideal, lambda: ideal * "x",
+                    lambda: ideal_class(ideal) * 2, lambda: ideal_class(ideal) * ideal):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_ideal_times_conjugate_is_norm():
@@ -571,21 +608,18 @@ def test_class_group_composes_once_per_new_class(monkeypatch):
 
 
 def test_form_composition_matches_ideal_product():
-    # composing the forms of I and J gives the form of the primitive part of
-    # I * J taken through FracIdeal.__mul__, hence the same class
+    # the reduced composed form is the class of I * J (whose normal form
+    # test_ideal_contains_its_generator_products checks independently)
     from zdcert import orders
 
     rng = random.Random(20261018)
-    negative = [d for d in range(-4000, 0) if is_squarefree(d)]
-    positive = [d for d in range(2, 4001) if is_squarefree(d)]
-    for d in rng.sample(negative, 10) + rng.sample(positive, 10):
+    for d in _sample_fields(rng):
         order = maximal_order(d)
         for _ in range(40):
             i1, i2 = _random_ideal(rng, order, max_a=200), _random_ideal(rng, order, max_a=200)
-            a, b = orders._compose(order.disc, orders._form_of(i1), orders._form_of(i2))
+            form, _ = orders._compose(order.disc, orders._form_of(i1), orders._form_of(i2))
             product = i1 * i2
-            assert (a, b % (2 * a)) == orders._form_of(product), (d, i1, i2)
-            composed = orders._class_of(order, orders._reduced(order, (a, b), {}))
+            composed = orders._class_of(order, orders._reduced(order, form, {}))
             assert composed == ideal_class(product) == ideal_class(i1) * ideal_class(i2), (d, i1, i2)
 
 
