@@ -27,10 +27,10 @@ from .orders import (
     FracIdeal,
     IdealClass,
     QuadOrder,
+    _generator_of,
     class_group,
     ideal_class,
     maximal_order,
-    principal_generator,
 )
 from .polynomials import IntPoly
 from .quadratic import CLASS_GROUP_BOUND, QuadElement, _element, _Value
@@ -52,8 +52,9 @@ BASE_TAG = "A"
 # size caps of parse_input, checked before any trial division: the level is
 # factored by trial division up to its square root, so 10^12 keeps that within
 # 10^6 steps; the eigenvalue primes share the bound, far inside is_prime's proven
-# range, and it keeps the power sums of the stability sweep (about
-# 3 * DEFAULT_STABILITY_BOUND * log2(p) bits) small
+# range, and it keeps the stability sweep's integers small: every root has absolute
+# value sqrt(p), so the largest, squares in weil._is_square_in at n = 12, stay
+# below 2^11 p^24 (2 * DEFAULT_STABILITY_BOUND * log2(p) + 11 bits, under 970)
 LEVEL_BOUND = 10**12
 PRIME_BOUND = 10**12
 
@@ -290,7 +291,7 @@ def _check_nonprincipal_ideal(run: _Run, check: Check) -> str | None:
     ideal = run.inp.ideal
     check.inputs["ideal"] = str(ideal)
     cls = ideal_class(ideal)
-    gen = principal_generator(ideal) if cls.is_trivial else None
+    gen = _generator_of(ideal) if cls.is_trivial else None
     square_trivial = (cls * cls).is_trivial
     run.ideal_cls = cls
     check.outputs.update({"principal": gen is not None, "class_square_trivial": square_trivial})

@@ -221,8 +221,11 @@ def is_principal(ideal: FracIdeal) -> bool:
 
 def principal_generator(ideal: FracIdeal) -> QuadElement | None:
     """A generator alpha with (alpha) = I, or None when I is not principal."""
-    if not is_principal(ideal):
-        return None
+    return _generator_of(ideal) if is_principal(ideal) else None
+
+
+def _generator_of(ideal: FracIdeal) -> QuadElement:
+    """A generator alpha with (alpha) = I, for an I known to be principal."""
     order = ideal.order
     if not order.is_real:
         alpha = _imaginary_generator(ideal)

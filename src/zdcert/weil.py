@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
-from .polynomials import IntPoly, is_rational_square, power_sums, rank_and_det
+from .polynomials import IntPoly, is_rational_square, power_sums
 from .quadratic import QuadElement, _Value, exact_isqrt, is_prime, prime_divisors
 
 
@@ -100,18 +100,23 @@ def _is_square_in(u: int, v: int, disc: int) -> bool:
     return any(w > 0 and exact_isqrt(2 * w) is not None for w in (u + m, u - m))
 
 
-def is_irreducible(quartic: WeilQuartic) -> bool:
-    """Irreducibility over Q, read off the quadratic factor g = x^2 - alpha x + p.
+def _has_degree_4(t: int, disc: int, q: int) -> bool:
+    """Whether a root pi of x^2 - alpha x + q, alpha = (t + sqrt(disc))/2, has degree 4 over Q.
 
-    A root pi of g generates a field holding alpha = pi + p/pi, so
-    [Q(pi) : Q] = 4 exactly when alpha is irrational (D not a square) and the
-    discriminant alpha^2 - 4p of g is not a square in Q(alpha) = Q(sqrt(D)).
-    Over Z: 4(alpha^2 - 4p) = (t^2 + D - 16p) + 2t sqrt(D), of norm 16N.
+    pi generates a field holding alpha = pi + q/pi, so the degree is 4 exactly
+    when alpha is irrational (disc not a square) and alpha^2 - 4q is not a
+    square in Q(alpha) = Q(sqrt(disc)).  Over Z:
+    4(alpha^2 - 4q) = (t^2 + disc - 16q) + 2t sqrt(disc).
     """
-    t, disc, _ = quartic.factor_data()
     if exact_isqrt(disc) is not None:
         return False
-    return not _is_square_in(t * t + disc - 16 * quartic.p, 2 * t, disc)
+    return not _is_square_in(t * t + disc - 16 * q, 2 * t, disc)
+
+
+def is_irreducible(quartic: WeilQuartic) -> bool:
+    """Irreducibility over Q: whether a root of the quadratic factor x^2 - alpha x + p has degree 4."""
+    t, disc, _ = quartic.factor_data()
+    return _has_degree_4(t, disc, quartic.p)
 
 
 def is_ordinary(quartic: WeilQuartic) -> bool:
@@ -143,13 +148,15 @@ DEFAULT_STABILITY_BOUND = 12
 def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_BOUND) -> StabilityReport:
     """Certify Q(pi^n) = Q(pi) for n = 2..bound, or report the first drop.
 
-    The degree of the minimal polynomial of pi^n is the number of distinct
-    values r^n over the roots r of the quartic.  By Hermite's theorem on the
-    power-sum quadratic form (Basu, Pollack, Roy, Algorithms in Real Algebraic
-    Geometry, ch. 4) that number is the rank of the Hankel matrix
-    [s_{n(i+j)}], 0 <= i, j < 4, of the power sums s_k = sum r^k: it factors
-    as V^T D V with V the Vandermonde matrix of the distinct r^n and D their
-    positive multiplicities.  One integer power-sum sequence serves every n.
+    pi^n is a root of x^2 - alpha_n x + p^n, alpha_n = pi^n + (p/pi)^n, and the
+    trace of alpha_n is the power sum s_n = sum r^n over the roots r of the
+    quartic.  The quartic with roots r^n has e_2 = (s_n^2 - s_2n)/2 =
+    2p^n + N(alpha_n), so (alpha_n - conj(alpha_n))^2 = 2 s_2n - s_n^2 + 8p^n,
+    and _has_degree_4 decides [Q(pi^n) : Q] = 4 from that triple.
+
+    A first drop is always to degree 2: were pi^n rational, it would equal its
+    conjugate (p/pi)^n, so pi^2n = p^n; that needs n even, and then pi^(n/2)
+    has degree at most 2, an earlier drop.
 
     A degree drop would mean pi^n/conj(pi^n) is a root of unity in a quartic
     field, of order m with phi(m) <= 4, hence m <= 12: that is why 12 is the
@@ -159,13 +166,12 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
         raise ValueError("stability bound must be at least 2")
     if not is_irreducible(quartic):
         raise ValueError("stability requires an irreducible Weil quartic")
-    deg = quartic.poly.degree
-    s = power_sums(quartic.poly, 2 * (deg - 1) * bound)
+    s = power_sums(quartic.poly, 2 * bound)
     degrees = []
     for n in range(2, bound + 1):
-        rank, _ = rank_and_det([[s[n * (i + j)] for j in range(deg)] for i in range(deg)])
-        degrees.append(rank)
-        if rank != deg:
+        q = quartic.p**n
+        degrees.append(4 if _has_degree_4(s[n], 2 * s[2 * n] - s[n] ** 2 + 8 * q, q) else 2)
+        if degrees[-1] != 4:
             return StabilityReport(bound, tuple(degrees), n)
     return StabilityReport(bound, tuple(degrees), None)
 

@@ -268,13 +268,20 @@ def test_one_run_tests_each_quartic_prime_once(monkeypatch):
 
 
 def test_one_run_reduces_the_chosen_ideal_once(monkeypatch):
-    # check 2 reads principality off the class it reduces; a nonprincipal ideal
-    # needs no second reduction inside principal_generator
+    # check 2 reads principality off the class it reduces, and builds the
+    # generator of a principal ideal without reducing it a second time
     from zdcert.orders import ideal_class
 
     calls = _count_calls(monkeypatch, ideal_class)
     assert run_raw(DATASET).verdict == "pass"
     assert calls == [1]
+    raw = copy.deepcopy(DATASET)
+    raw["ideal"] = {"a": 9, "b": 1, "q": 1}  # (9, 1 + √10) = (1 + √10)
+    calls[0] = 0
+    cert = run_raw(raw)
+    assert calls == [1]
+    check = next(c for c in cert.checks if c.name == "nonprincipal_ideal")
+    assert check.outputs["principal"] and check.verdict == "fail"
 
 
 def test_golden_charpoly_optional():

@@ -205,9 +205,16 @@ def _companion_minpoly_degrees(f, bound):
 
 
 def test_power_charpoly_matches_companion_matrix_oracle():
-    quartics = [CHARPOLY_17, CHARPOLY_19, WeilQuartic(2, IntPoly((4, 0, 2, 0, 1)))]
+    quartics = [
+        CHARPOLY_17,
+        CHARPOLY_19,
+        WeilQuartic(2, IntPoly((4, 0, 2, 0, 1))),
+        # a_5 = (5 + sqrt(5))/2: pi^5 has degree 2 though alpha_5 is irrational
+        # (disc_5 = 50000), the one drop here not read off a rational alpha_n
+        WeilQuartic(5, IntPoly((25, -25, 15, -5, 1))),
+    ]
     rng = random.Random(20260835)
-    while len(quartics) < 203:
+    while len(quartics) < 204:
         quartic = _random_weil_quartic(rng)
         if is_irreducible_quartic(quartic.poly):
             quartics.append(quartic)
