@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {
     "errors": ("DeductionRefused", "InputDataError", "InvalidEigenvalueError", "MismatchError",
                "ResourceLimitError"),
-    "quadratic": ("QuadElement", "is_prime", "is_squarefree", "sqrt_of"),
+    "quadratic": ("QuadElement", "is_prime", "is_squarefree"),
     "polynomials": ("IntPoly", "X", "discriminant", "is_rational_square", "resultant"),
     "orders": ("ClassGroup", "FracIdeal", "IdealClass", "QuadOrder", "class_group",
                "fundamental_unit", "ideal_class", "is_principal", "maximal_order",

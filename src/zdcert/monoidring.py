@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import MismatchError
-from .orders import QuadOrder
 from .quadratic import _Value
 from .steinitz import AVClass, ModuleClass, direct_sum, tensor_av, zero_module
 
@@ -119,13 +118,9 @@ class MonoidRingElement(_Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, elem) -> int:
-        for e, c in self.terms:
-            if e == elem:
-                return c
-        return 0
-
     def __add__(self, other: "MonoidRingElement") -> "MonoidRingElement":
+        if not isinstance(other, MonoidRingElement):
+            return NotImplemented
         self._same_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms:
@@ -141,6 +136,8 @@ class MonoidRingElement(_Value):
     def __mul__(self, other: "MonoidRingElement | int") -> "MonoidRingElement":
         if isinstance(other, int):
             return MonoidRingElement.build(self.monoid, {e: c * other for e, c in self.terms})
+        if not isinstance(other, MonoidRingElement):
+            return NotImplemented
         self._same_ring(other)
         acc: dict = {}
         for e1, c1 in self.terms:

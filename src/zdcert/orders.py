@@ -111,9 +111,6 @@ class FracIdeal(_Value):
     def norm(self) -> Fraction:
         return self.scale * self.scale * self.a
 
-    def is_integral(self) -> bool:
-        return self.scale.denominator == 1
-
     def generators(self) -> tuple[QuadElement, QuadElement]:
         w = self.order.omega()
         return (self.scale * _element(self.order.d, self.a),
@@ -427,15 +424,8 @@ def minkowski_bound(order: QuadOrder) -> int:
     return (2 * isqrt(-order.disc)) // 3 + 1
 
 
-def prime_ideals_above(order: QuadOrder, p: int) -> list[FracIdeal]:
-    """Degree-one prime ideals over p: empty when p is inert."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _ideals_above_prime(order, p)
-
-
 def _ideals_above_prime(order: QuadOrder, p: int) -> list[FracIdeal]:
-    """prime_ideals_above for a p known to be prime."""
+    """Degree-one prime ideals over the prime p, ascending: empty when p is inert."""
     if p > 2 and pow(order.disc, (p - 1) // 2, p) == p - 1:
         return []  # Euler's criterion: disc is a non-residue, so p is inert
     b = next((b for b in range(p) if order.norm_b_plus_omega(b) % p == 0), None)

@@ -48,6 +48,8 @@ class IntPoly(_Value):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly([self[i] + other[i] for i in range(n)])
 
@@ -60,6 +62,8 @@ class IntPoly(_Value):
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -107,57 +111,51 @@ class IntPoly(_Value):
 X = IntPoly((0, 1))
 
 
-def rank_and_det(m: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Rank and determinant of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Every entry after a pivot step is a minor of m, so each division by the
-    previous pivot is exact; columns with no pivot are skipped, which makes
-    the rank come out for singular and rectangular matrices too.  The
-    determinant is 0 unless m is square of full rank (1 for the empty matrix).
-    """
-    rows = [list(r) for r in m]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        for row in rows[rank + 1 :]:
-            for j in range(col + 1, n_cols):
-                row[j], rem = divmod(row[j] * top[col] - row[col] * top[j], prev)
-                assert rem == 0, "Bareiss divisions are exact over Z"
-            row[col] = 0
-        prev = top[col]
-        rank += 1
-    return rank, (sign * prev if rank == n_rows == n_cols else 0)
+def _exact_div(n: int, q: int) -> int:
+    out, rem = divmod(n, q)
+    assert rem == 0, f"{q} does not divide {n}"
+    return out
 
 
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    n, m = f.degree, g.degree
-    size = n + m
-    rows = []
-    fr = list(reversed(f.coeffs))
-    gr = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([0] * i + fr + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gr + [0] * (size - m - 1 - i))
-    return rows
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, on coefficient tuples."""
+    r, n = list(a), len(b) - 1
+    for _ in range(len(a) - n):
+        c = r.pop()  # the leading coefficient, cancelled by c * x^(len(r) - n) * b
+        r = [b[-1] * x for x in r]
+        for i in range(n):
+            r[len(r) - n + i] -= c * b[i]
+    return _normalize(r)
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) as the Sylvester determinant; Res(x - a, g) = g(a)."""
+    """Res(f, g) by the subresultant algorithm; Res(x - a, g) = g(a).
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7,
+    without the content reduction: every division below is exact over Z.
+    """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     if f.degree == 0:
         return f.lc ** g.degree
     if g.degree == 0:
         return g.lc ** f.degree
-    return rank_and_det(sylvester_matrix(f, g))[1]
+    a, b, s, lc, h = f.coeffs, g.coeffs, 1, 1, 1
+    if len(a) < len(b):
+        a, b = b, a
+        s = (-1) ** (f.degree * g.degree)
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        if da % 2 and db % 2:
+            s = -s
+        delta = da - db
+        a, b = b, tuple(_exact_div(c, lc * h**delta) for c in _prem(a, b))
+        lc = a[-1]
+        h = _exact_div(lc**delta * h, h**delta)
+    if not b:
+        return 0
+    da = len(a) - 1
+    return s * _exact_div(b[0] ** da * h, h**da)
 
 
 def discriminant(f: IntPoly) -> int:
@@ -167,11 +165,8 @@ def discriminant(f: IntPoly) -> int:
         raise ValueError("discriminant requires degree >= 1")
     if n == 1:
         return 1
-    r = resultant(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    q, rem = divmod(sign * r, f.lc)
-    assert rem == 0, "discriminant of an integer polynomial is an integer"
-    return q
+    return _exact_div(sign * resultant(f, f.derivative()), f.lc)
 
 
 def power_sums(f: IntPoly, top: int) -> list[int]:

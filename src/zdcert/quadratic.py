@@ -172,10 +172,12 @@ class QuadElement(_Value):
         return _element(self.d, -self.a, -self.b)
 
     def __sub__(self, other: "QuadElement | Rat") -> "QuadElement":
-        return self + (-other if isinstance(other, QuadElement) else _element(self.d, -Fraction(other), 0))
+        if not isinstance(other, (int, Fraction, QuadElement)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: Rat) -> "QuadElement":
-        return _element(self.d, other) - self
+        return -self + other
 
     def __mul__(self, other: "QuadElement | Rat") -> "QuadElement":
         if isinstance(other, (int, Fraction)):
@@ -194,6 +196,8 @@ class QuadElement(_Value):
     def __truediv__(self, other: "QuadElement | Rat") -> "QuadElement":
         if isinstance(other, (int, Fraction)):
             return _element(self.d, self.a / other, self.b / other)
+        if not isinstance(other, QuadElement):
+            return NotImplemented
         self._same_field(other)
         n = other.norm()
         if n == 0:
@@ -224,32 +228,6 @@ class QuadElement(_Value):
             return x.denominator == 1 and y.denominator == 1 and (x - y) % 2 == 0
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def sign(self) -> int:
-        """Sign under the embedding sending sqrt(d) to the positive root (d > 0 only)."""
-        if self.d < 0:
-            raise ValueError("sign is defined only for real quadratic elements")
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with d*b^2
-        lhs, rhs = self.a * self.a, self.d * self.b * self.b
-        if self.a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if lhs < rhs else -1
-
-    def __lt__(self, other: "QuadElement | Rat") -> bool:
-        diff = self - (other if isinstance(other, QuadElement) else _element(self.d, other))
-        return diff.sign() < 0
-
-    def __gt__(self, other: "QuadElement | Rat") -> bool:
-        diff = self - (other if isinstance(other, QuadElement) else _element(self.d, other))
-        return diff.sign() > 0
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -271,10 +249,6 @@ def _element(d: int, a: Rat, b: Rat = 0) -> QuadElement:
     x = object.__new__(QuadElement)
     _set_coords(x, d, a, b)
     return x
-
-
-def sqrt_of(d: int) -> QuadElement:
-    return QuadElement(d, 0, 1)
 
 
 def exact_isqrt(n: int) -> int | None:

@@ -195,15 +195,6 @@ class ReductionCertificate(_Value):
 
     __slots__ = ("quartic", "irreducible", "ordinary", "stability")
 
-    @property
-    def positive(self) -> bool:
-        return (
-            self.irreducible
-            and self.ordinary
-            and self.stability is not None
-            and self.stability.stable
-        )
-
 
 def certify_reduction(a_p: QuadElement, p: int, bound: int = DEFAULT_STABILITY_BOUND) -> ReductionCertificate:
     quartic = frobenius_charpoly(a_p, p)

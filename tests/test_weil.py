@@ -22,6 +22,7 @@ from zdcert.weil import (
 )
 
 from test_polynomials import fraction_rank, is_irreducible_quartic
+from test_quadratic import real_sign
 
 EIGEN_17 = QuadElement(10, 4, -1)
 EIGEN_19 = QuadElement(10, 2, 1)
@@ -51,7 +52,7 @@ def test_symbolic_expansion_matches_random():
         a = QuadElement(d, rng.randint(-8, 8), rng.randint(-3, 3))
         if d % 4 == 1 and rng.random() < 0.5:
             a = a + QuadElement(d, Fraction(1, 2), Fraction(1, 2))
-        if (a * a - 4 * p).sign() > 0 or (a.conjugate() * a.conjugate() - 4 * p).sign() > 0:
+        if real_sign(a * a - 4 * p) > 0 or real_sign(a.conjugate() * a.conjugate() - 4 * p) > 0:
             continue
         if not a.is_integral():
             continue
@@ -117,7 +118,7 @@ def test_integer_weil_bound_matches_the_embedding_signs():
                 squares = (a * a, a.conjugate() * a.conjugate())
                 # both squares are <= 4p from some prime on: the first such index
                 first = bisect_left(field_primes, True,
-                                    key=lambda p: all((s - 4 * p).sign() <= 0 for s in squares))
+                                    key=lambda p: all(real_sign(s - 4 * p) <= 0 for s in squares))
                 for i, p in enumerate(field_primes):
                     try:
                         quartic = frobenius_charpoly(a, p)
@@ -138,7 +139,7 @@ def test_roots_on_circle_exact():
         disc_y = c3 * c3 - 4 * (c2 - 2 * p)
         assert disc_y > 0
         for emb in (a, a.conjugate()):
-            assert (emb * emb - 4 * p).sign() <= 0
+            assert real_sign(emb * emb - 4 * p) <= 0
             assert emb * emb + c3 * emb + (c2 - 2 * p) == QuadElement(10, 0, 0)
 
 
@@ -154,7 +155,7 @@ def test_roots_on_circle_random():
         assert c3 * c3 <= 16 * p  # vertex inside [-2 sqrt(p), 2 sqrt(p)]
         for sign in (1, -1):
             value_at_edge = QuadElement(p, 2 * p + c2, 2 * sign * c3)
-            assert value_at_edge.sign() >= 0
+            assert real_sign(value_at_edge) >= 0
 
 
 def test_weil_shape_validation():
@@ -323,7 +324,9 @@ def test_distinctness_requires_irreducible():
 def test_deduction_happy_path():
     cert17 = certify_reduction(EIGEN_17, 17)
     cert19 = certify_reduction(EIGEN_19, 19)
-    assert cert17.positive and cert19.positive
+    assert (cert17.quartic, cert19.quartic) == (CHARPOLY_17, CHARPOLY_19)
+    for cert in (cert17, cert19):
+        assert cert.irreducible and cert.ordinary and cert.stability.stable
     conclusion = deduce_endomorphism_ring(10, cert17, cert19, "distinct", conductor=1)
     assert "Z[√10]" in conclusion.conclusion
     assert len(conclusion.hypotheses) == 4
