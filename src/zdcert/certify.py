@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import DeductionRefused, InputDataError
@@ -116,7 +117,10 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _write_json(self.to_dict(), out, "\n")
+        out.append("\n")
+        return "".join(out)
 
     def render_text(self) -> str:
         lines = []
@@ -136,6 +140,54 @@ class Certificate:
             f"({n_pass}/{len(self.computed_checks)} computed checks pass)"
         )
         return "\n".join(lines)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append json.dumps(value, indent=2, sort_keys=True) to out, as nested under newline
+    (a newline and the enclosing indent): the same bytes, without json's pure-Python
+    encoder, which is what indent selects.  Dict keys must be strings."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# json's names for the infinite floats; it writes NaN as NaN
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 class VerificationInput(_Value):

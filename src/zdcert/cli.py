@@ -2,21 +2,24 @@
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 input or usage error.
 Each subcommand's handler imports the layers it uses, so `classgroup`,
-`unit` and `principal` load only `quadratic` and `orders`.
+`unit` and `principal` load only `quadratic` and `orders`; only `verify`
+loads `pathlib`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import InputDataError, ResourceLimitError
 
 BUNDLED_DATASET = "newform276.json"
 
 
-def bundled_dataset_path() -> Path:
+def bundled_dataset_path():
+    """The bundled dataset's pathlib.Path."""
+    from pathlib import Path
+
     return Path(__file__).with_name("data") / BUNDLED_DATASET
 
 
@@ -64,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from pathlib import Path
+
     from .certify import load_input, run_certificate
 
     if args.bundled == (args.file is not None):
@@ -78,7 +83,11 @@ def _cmd_verify(args) -> int:
     cert = run_certificate(inp)
     print(cert.render_text())
     if args.report:
-        Path(args.report).write_text(cert.to_json())
+        try:
+            Path(args.report).write_text(cert.to_json())
+        except OSError as exc:
+            print(f"error: cannot write report to {args.report}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.report}")
     return 0 if cert.verdict == "pass" else 1
 

@@ -5,7 +5,9 @@ over a fixed base (module classes under direct sum, where product of
 varieties is direct sum of modules), and free commutative monoids on a fixed
 generator alphabet.  Ring elements are finite Z-linear combinations stored
 sorted by a fixed total order on monoid elements, so equality is literal
-equality of stored forms.
+equality of stored forms.  That order is the monoid's sort_key, which must be
+injective on its elements: ring arithmetic sums terms by their sort keys, so
+it hashes no monoid element.
 """
 
 from __future__ import annotations
@@ -99,17 +101,13 @@ class MonoidRingElement(_Value):
 
     @staticmethod
     def build(monoid: FreeMonoid | AVMonoid, coefficients: Mapping) -> "MonoidRingElement":
-        cleaned = {}
+        pairs = []
         for elem, coeff in coefficients.items():
             monoid.validate(elem)
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be integers")
-            if coeff:
-                cleaned[elem] = cleaned.get(elem, 0) + coeff
-        terms = tuple(
-            (e, c) for e, c in sorted(cleaned.items(), key=lambda t: monoid.sort_key(t[0])) if c
-        )
-        return MonoidRingElement(monoid, terms)
+            pairs.append((elem, int(coeff)))  # a bool coefficient is stored as its int
+        return _canonical(monoid, pairs)
 
     def _same_ring(self, other: "MonoidRingElement") -> None:
         if self.monoid != other.monoid:
@@ -122,10 +120,7 @@ class MonoidRingElement(_Value):
         if not isinstance(other, MonoidRingElement):
             return NotImplemented
         self._same_ring(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return MonoidRingElement.build(self.monoid, acc)
+        return _canonical(self.monoid, self.terms + other.terms)
 
     def __neg__(self) -> "MonoidRingElement":
         return MonoidRingElement(self.monoid, tuple((e, -c) for e, c in self.terms))
@@ -135,16 +130,13 @@ class MonoidRingElement(_Value):
 
     def __mul__(self, other: "MonoidRingElement | int") -> "MonoidRingElement":
         if isinstance(other, int):
-            return MonoidRingElement.build(self.monoid, {e: c * other for e, c in self.terms})
+            return _canonical(self.monoid, [(e, c * other) for e, c in self.terms])
         if not isinstance(other, MonoidRingElement):
             return NotImplemented
         self._same_ring(other)
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = self.monoid.combine(e1, e2)
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return MonoidRingElement.build(self.monoid, acc)
+        combine = self.monoid.combine
+        return _canonical(self.monoid, [(combine(e1, e2), c1 * c2)
+                                        for e1, c1 in self.terms for e2, c2 in other.terms])
 
     __rmul__ = __mul__
 
@@ -164,6 +156,22 @@ class MonoidRingElement(_Value):
         for t in parts[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
+
+
+def _canonical(monoid: FreeMonoid | AVMonoid, pairs: Iterable) -> MonoidRingElement:
+    """The sum of c*e over the (element, integer) pairs, in canonical form.  Terms are
+    summed by monoid.sort_key (injective), and each keeps the first element with its key;
+    the elements are not validated."""
+    acc: dict = {}
+    for e, c in pairs:
+        key = monoid.sort_key(e)
+        term = acc.get(key)
+        if term is None:
+            acc[key] = [e, c]
+        else:
+            term[1] += c
+    terms = (acc[key] for key in sorted(acc))
+    return MonoidRingElement(monoid, tuple((e, c) for e, c in terms if c))
 
 
 def ring_zero(monoid: FreeMonoid | AVMonoid) -> MonoidRingElement:

@@ -11,7 +11,8 @@ times the ideal of the composed form.  The ideal of a generator c*(x + y*w),
 c its content, is c*(|N(x + y*w)|, x/y + w).  Ideal classes are computed as
 reduced forms, composed and reduced (real fields walk the continued fraction
 of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs); an ideal is built
-only when a class is returned.  An ideal is principal when its reduced class
+only when a class is returned, from its reduced form without FracIdeal's
+checks, which such a form passes by construction.  An ideal is principal when its reduced class
 is trivial; a real ideal's generator and the fundamental unit come from one
 walk, the product of complete quotients up to the unit ideal.
 """
@@ -23,7 +24,7 @@ from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, _Value, _check_d, _element, binary_power, is_prime
+from .quadratic import QuadElement, Rat, _Value, _check_d, _element, _root_text, binary_power, is_prime
 
 _MAX_STEPS = 1_000_000
 
@@ -136,7 +137,8 @@ class FracIdeal(_Value):
         return FracIdeal(self.order, self.a, -self.b - self.order.omega_trace, self.scale)
 
     def __str__(self) -> str:
-        w = self.order.omega()
+        d = self.order.d
+        w = f"1/2 + 1/2{_root_text(d)}" if d % 4 == 1 else _root_text(d)  # str(self.order.omega())
         inner = f"{self.a}Z + ({self.b} + {w})Z"
         return inner if self.scale == 1 else f"({self.scale})({inner})"
 
@@ -257,9 +259,13 @@ def _form_of(ideal: FracIdeal) -> tuple[int, int]:
 
 
 def _ideal_of(order: QuadOrder, form: tuple[int, int], scale: Rat = 1) -> FracIdeal:
-    """scale times the primitive ideal whose form (see _form_of) is form."""
+    """scale > 0 times the primitive ideal whose form (see _form_of) is form, built
+    without FracIdeal's checks: a form (a, b) of discriminant D has b^2 = D mod 4a,
+    which makes a divide N((b - tr w)/2 + w), so (a, (b - tr w)/2 + w) is an ideal."""
     a, b = form
-    return FracIdeal(order, a, (b - order.omega_trace) // 2, scale)
+    ideal = object.__new__(FracIdeal)
+    _Value.__init__(ideal, order, a, (b - order.omega_trace) // 2 % a, Fraction(scale))
+    return ideal
 
 
 def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[tuple[int, int], int]:
@@ -322,7 +328,8 @@ class IdealClass(_Value):
 
     Real case: the cycle ideal minimizing (norm, a, b); imaginary case: the
     ideal of the Gauss-reduced form.  Equal representatives characterize
-    equivalent ideals.  Products and inverses compose and reduce forms.
+    equivalent ideals.  Products and inverses compose and reduce forms; a
+    product with the trivial class is the other factor.
     """
 
     __slots__ = ("rep",)
@@ -346,6 +353,10 @@ class IdealClass(_Value):
             return NotImplemented
         if self.order != other.order:
             raise MismatchError("ideal classes live over different orders")
+        if self.is_trivial:
+            return other
+        if other.is_trivial:
+            return self
         form, _ = _compose(self.order.disc, _form_of(self.rep), _form_of(other.rep))
         return _class_of(self.order, _reduced(self.order, form, {}))
 
@@ -374,7 +385,7 @@ def _class_of(order: QuadOrder, form: tuple[int, int]) -> IdealClass:
 
 
 def trivial_class(order: QuadOrder) -> IdealClass:
-    return IdealClass(unit_ideal(order))
+    return _class_of(order, (1, order.omega_trace))
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,16 @@ class QuadElement(_Value):
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        root = f"√{self.d}" if self.d > 0 else f"√({self.d})"
+        root = _root_text(self.d)
         bpart = root if abs(self.b) == 1 else f"{abs(self.b)}{root}"
         if self.a == 0:
             return bpart if self.b > 0 else f"-{bpart}"
         return f"{self.a} {'+' if self.b > 0 else '-'} {bpart}"
+
+
+def _root_text(d: int) -> str:
+    """How sqrt(d) is written: √d, or √(d) when d < 0."""
+    return f"√{d}" if d > 0 else f"√({d})"
 
 
 def _set_coords(x: QuadElement, d: int, a: Rat, b: Rat) -> None:

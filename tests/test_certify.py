@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,67 @@ def test_one_run_reduces_the_chosen_ideal_once(monkeypatch):
     assert calls == [1]
     check = next(c for c in cert.checks if c.name == "nonprincipal_ideal")
     assert check.outputs["principal"] and check.verdict == "fail"
+
+
+def test_one_run_hashes_no_class_chain_and_validates_only_input_ideals(monkeypatch):
+    # one bundled operation: monoid-ring terms are summed by sort key, so no AVClass
+    # chain is hashed; class ideals come from reduced forms without FracIdeal.__init__
+    # (left: the input ideal and the three prime ideals above 2 and 3); a trivial class
+    # factor skips the composition; ω is written from d, not built
+    from zdcert.orders import FracIdeal, QuadOrder, _compose
+    from zdcert.quadratic import _Value
+
+    counts = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def counting(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(_Value, "__hash__")
+    count(FracIdeal, "__init__")
+    count(QuadOrder, "omega")
+    compose_calls = _count_calls(monkeypatch, _compose)
+    cert = run_raw(DATASET)
+    assert cert.verdict == "pass" and cert.to_json() and cert.render_text()
+    assert counts["__hash__"] <= 10
+    assert counts["__init__"] <= 4
+    assert compose_calls[0] <= 6
+    assert counts["omega"] == 0
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300, 5e-324, 2**64, -(2**64) - 1, 10**100,
+    True, False, None, 0, "", "é ☃ 𝄞 \u2028", "\x00\x1f\x7f \"\\/\n\t", "lone \ud800 and \udfff",
+    {"\ud83d": "\udc4d", "é": [-0.0], "\x00": None, "\n": {"": []}},
+    [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], {}, [[{}]]], (), ((),), (1, (2.5, "x"), [()]),
+    {"b": (None, True, False), "a": [float("nan"), float("-inf")], "B": {"z": 1, "Z": 2}},
+])
+def test_json_writer_matches_json_dumps(value):
+    from zdcert.certify import _write_json
+
+    out = []
+    _write_json(value, out, "\n")
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x", {1: "integer key"}, [object()]])
+def test_json_writer_refuses_what_json_loads_cannot_return(value):
+    from zdcert.certify import _write_json
+
+    with pytest.raises(TypeError):
+        _write_json(value, [], "\n")
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
+def test_to_json_equals_json_dumps_of_to_dict(path):
+    cert = run_raw(json.loads(path.read_text())["input"])
+    assert cert.to_json() == json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def test_golden_charpoly_optional():

@@ -45,6 +45,17 @@ def test_cli_imports_neither_dataclasses_nor_inspect(args):
     assert (result.returncode, result.stderr) == (0, "\n")
 
 
+@pytest.mark.parametrize("args", [["classgroup", "--d", "10"], ["unit", "--d", "10"],
+                                  ["weil", "--p", "17", "--a", "4", "--b", "-1", "--d", "10"],
+                                  ["principal", "--d", "10", "--a", "2", "--b", "0"]],
+                         ids=lambda args: args[0])
+def test_only_verify_imports_pathlib(args):
+    code = (f"import sys\nfrom zdcert.cli import main\nassert main({args!r}) == 0\n"
+            "print('pathlib' in sys.modules, file=sys.stderr)")
+    result = _python("-S", "-c", code, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, "False\n")
+
+
 def test_package_exports_resolve_to_their_submodules():
     assert len(set(zdcert.__all__)) == len(zdcert.__all__)
     for name in zdcert.__all__:
@@ -79,6 +90,16 @@ def test_closed_stdout_exits_two_without_traceback():
         os.close(write_end)
     assert result.returncode == 2
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_report_exits_two_without_traceback(tmp_path, target):
+    report = tmp_path / target
+    result = _python("-m", "zdcert", "verify", "--bundled", "--report", str(report), capture_output=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write report to {report}: ")
+    assert "Traceback" not in result.stderr
+    assert "OVERALL: PASS" in result.stdout and "report written" not in result.stdout
 
 
 @pytest.mark.parametrize("args", [["unit", "--d", HUGE_D], ["principal", "--d", HUGE_D, "--a", "2", "--b", "1"],

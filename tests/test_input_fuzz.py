@@ -1,7 +1,8 @@
 """Fuzzing of the input layer: any JSON value, mutated dataset or file bytes given to
 parse_input / load_input ends in a VerificationInput or an InputDataError, and
 nothing else, in bounded time; every input that parses then goes through
-run_certificate, to_json and render_text in bounded time without raising.
+run_certificate, to_json and render_text in bounded time without raising.  The
+certificate's JSON writer matches json.dumps(indent=2, sort_keys=True) on any JSON value.
 """
 
 import copy
@@ -14,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zdcert.certify import VerificationInput, load_input, parse_input, run_certificate
+from zdcert.certify import VerificationInput, _write_json, load_input, parse_input, run_certificate
 from zdcert.cli import bundled_dataset_path
 from zdcert.errors import InputDataError
 
@@ -129,3 +130,11 @@ def test_load_input_on_mutated_file_bytes(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_bytes(bytes(text))
     _bounded(load_input, path)
+
+
+@FUZZ
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    out = []
+    _write_json(value, out, "\n")
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)

@@ -708,3 +708,26 @@ def test_trivial_class_and_inverse():
     assert (c * c.inverse()).is_trivial
     assert c ** -1 == c.inverse()
     assert c ** 2 == trivial_class(O10)
+
+
+def test_ideal_text_writes_omega_as_the_order_does():
+    # FracIdeal.__str__ writes ω from d, without building order.omega()
+    for d in range(-300, 301):
+        if d not in (0, 1) and is_squarefree(d):
+            order = maximal_order(d)
+            assert str(FracIdeal(order, 1, 0)) == f"1Z + (0 + {order.omega()})Z", d
+
+
+def test_ideals_built_from_forms_pass_validation():
+    # class ideals and ideal products skip FracIdeal's checks; each must pass them
+    rng = random.Random(20261019)
+    for d in [d for d in range(-400, 401) if d not in (0, 1) and is_squarefree(d)] + [-18185, 4279]:
+        order = maximal_order(d)
+        cg = class_group(order)
+        products = [c * g for c in cg.classes for g in cg.classes[:3]]
+        ideals = [c.rep for c in (*cg.classes, *products, trivial_class(order))]
+        for _ in range(5):
+            ideals.append(_random_ideal(rng, order, scaled=True) * _random_ideal(rng, order))
+        for ideal in ideals:
+            assert FracIdeal(ideal.order, ideal.a, ideal.b, ideal.scale) == ideal, (d, ideal)
+            assert type(ideal.scale) is Fraction and 0 <= ideal.b < ideal.a
