@@ -15,6 +15,10 @@ order, the certificate's JSON without ``generated_at`` followed by its
 ``render_text``, or the text of the ``InputDataError`` that refused it.  The
 digest depends only on certificate bytes, so two commits that print the same
 digest certify the corpus identically.  The last line printed is the digest.
+
+Each certificate's own JSON writer is checked too: ``to_json()`` must equal
+``json.dumps(to_dict(), indent=2, sort_keys=True)`` plus a newline.  On the
+first mismatch the script names that input's index and exits 1.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def main() -> None:
     digest = hashlib.sha256()
     outcomes = Counter()
     inputs = corpus()
-    for raw in inputs:
+    for index, raw in enumerate(inputs):
         try:
             inp = parse_input(raw)
         except InputDataError as exc:
@@ -83,6 +87,8 @@ def main() -> None:
         cert = run_certificate(inp)
         outcomes[cert.verdict] += 1
         body = cert.to_dict()
+        if cert.to_json() != json.dumps(body, indent=2, sort_keys=True) + "\n":
+            sys.exit(f"input {index}: to_json() differs from json.dumps of to_dict()")
         del body["generated_at"]
         digest.update(json.dumps(body, indent=2, sort_keys=True).encode())
         digest.update(cert.render_text().encode())

@@ -179,7 +179,8 @@ def ring_zero(monoid: FreeMonoid | AVMonoid) -> MonoidRingElement:
 
 
 def basis_element(monoid: FreeMonoid | AVMonoid, elem) -> MonoidRingElement:
-    return MonoidRingElement.build(monoid, {elem: 1})
+    monoid.validate(elem)
+    return MonoidRingElement(monoid, ((elem, 1),))  # one term is canonical, and hashes nothing
 
 
 class ProjectiveSpace(_Value):

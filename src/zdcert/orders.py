@@ -14,7 +14,8 @@ of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs); an ideal is built
 only when a class is returned, from its reduced form without FracIdeal's
 checks, which such a form passes by construction.  An ideal is principal when its reduced class
 is trivial; a real ideal's generator and the fundamental unit come from one
-walk, the product of complete quotients up to the unit ideal.
+walk, the product of complete quotients up to the unit ideal, and an imaginary
+ideal's generator from Gauss reduction of its form, carrying the change of basis.
 """
 
 from __future__ import annotations
@@ -238,18 +239,35 @@ def _generator_of(ideal: FracIdeal) -> QuadElement:
 
 
 def _imaginary_generator(ideal: FracIdeal) -> QuadElement:
+    """The generator x*a + y*(b + w), times the scale, of a principal imaginary
+    ideal, least in (y, -x) among its associates.  Gauss reduction of the ideal's
+    form f, carrying the basis change M (f(M(X, Y)) is the current form), ends at
+    (1, .), which is 1 at (1, 0); so f is 1 at M's first column (x, y), and
+    x*a + y*(b + w) has the primitive ideal's norm: it generates it, as do its
+    unit multiples."""
     order = ideal.order
     a, b = _form_of(ideal)
-    # the form represents 1 at some (x, y), where (2ax + by)^2 = 4a + D y^2; then
-    # x*a + y*(b_I + w) has the norm of the primitive ideal, so it generates it
-    m = isqrt(4 * a // -order.disc)
-    for y in range(-m, m + 1):
-        rhs = 4 * a + order.disc * y * y
-        s = isqrt(rhs)
-        for num in (s - b * y, -s - b * y):
-            if s * s == rhs and num % (2 * a) == 0:
-                return ideal.scale * order.from_coords(num // 2 + y * ideal.b, y)  # x*a = num/2
-    raise AssertionError("the ideal is principal but no generator was found")
+    x, y, x2, y2 = 1, 0, 0, 1  # the columns of M
+    while True:
+        k = (a - b) // (2 * a)  # (X, Y) -> (X + kY, Y) takes b into (-a, a]
+        b += 2 * a * k
+        x2, y2 = x2 + k * x, y2 + k * y
+        c = (b * b - order.disc) // (4 * a)
+        if a <= c:
+            break
+        a, b = c, -b  # (X, Y) -> (-Y, X)
+        x, y, x2, y2 = x2, y2, -x, -y
+    # the associates u + v*w, by powers of w, a unit of order 4 or 6, for d = -1 or -3,
+    # else by -1
+    units = {-1: 4, -3: 6}.get(order.d, 2)
+    u, v = x * ideal.a + y * ideal.b, y
+    associates = []
+    for _ in range(units):
+        associates.append((u, v))
+        u, v = (-order.omega_norm * v, u + order.omega_trace * v) if units > 2 else (-u, -v)
+    # x*a = u - v*b grows with u, so the least (y, -x) is the least (v, -u)
+    u, v = min(associates, key=lambda uv: (uv[1], -uv[0]))
+    return ideal.scale * order.from_coords(u, v)
 
 
 def _form_of(ideal: FracIdeal) -> tuple[int, int]:

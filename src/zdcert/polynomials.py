@@ -1,4 +1,4 @@
-"""Integer polynomials: exact arithmetic, resultants, discriminants, power sums.
+"""Integer polynomials: exact arithmetic, resultants, discriminants.
 
 Coefficients are arbitrary-precision integers, constant term first, with no
 trailing zeros stored; the zero polynomial is the empty tuple.
@@ -167,28 +167,6 @@ def discriminant(f: IntPoly) -> int:
         return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return _exact_div(sign * resultant(f, f.derivative()), f.lc)
-
-
-def power_sums(f: IntPoly, top: int) -> list[int]:
-    """Power sums s_0, ..., s_top, s_k = sum r^k over the roots r of a monic f.
-
-    Newton's identities, which become f's linear recurrence once k > deg f.
-    Integer arithmetic throughout (Cohen, A Course in Computational Algebraic
-    Number Theory, 4.3).
-    """
-    if not f.is_monic():
-        raise ValueError("power sums require a monic polynomial")
-    if top < 0:
-        raise ValueError("power sums require a nonnegative top index")
-    deg = f.degree
-    a = f.coeffs[::-1]  # a[j] is the coefficient of x^(deg - j)
-    s = [deg]
-    for k in range(1, top + 1):
-        acc = k * a[k] if k <= deg else 0
-        for j in range(1, min(k - 1, deg) + 1):
-            acc += a[j] * s[k - j]
-        s.append(-acc)
-    return s
 
 
 def is_rational_square(q: int | Fraction) -> bool:

@@ -3,8 +3,9 @@
 Builds the degree-4 Weil polynomial at a good prime p from the Hecke
 eigenvalue a_p by expanding the norm form of x^2 - a_p x + p, then runs the
 checks that pin the geometric endomorphism algebra down to the eigenvalue
-field: irreducibility, ordinarity, stability of Q(pi^n) under powers, and
-the discriminant-ratio test separating the two quartic fields.
+field: irreducibility, ordinarity, stability of Q(pi^n) under powers (on a
+Lucas sequence in Z[alpha]), and the discriminant-ratio test separating the
+two quartic fields.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
-from .polynomials import IntPoly, is_rational_square, power_sums
+from .polynomials import IntPoly, is_rational_square
 from .quadratic import QuadElement, _Value, exact_isqrt, is_prime, prime_divisors
 
 
@@ -148,11 +149,14 @@ DEFAULT_STABILITY_BOUND = 12
 def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_BOUND) -> StabilityReport:
     """Certify Q(pi^n) = Q(pi) for n = 2..bound, or report the first drop.
 
-    pi^n is a root of x^2 - alpha_n x + p^n, alpha_n = pi^n + (p/pi)^n, and the
-    trace of alpha_n is the power sum s_n = sum r^n over the roots r of the
-    quartic.  The quartic with roots r^n has e_2 = (s_n^2 - s_2n)/2 =
-    2p^n + N(alpha_n), so (alpha_n - conj(alpha_n))^2 = 2 s_2n - s_n^2 + 8p^n,
-    and _has_degree_4 decides [Q(pi^n) : Q] = 4 from that triple.
+    pi^n is a root of x^2 - alpha_n x + p^n, alpha_n = pi^n + (p/pi)^n, a Lucas
+    sequence (Lehmer, Ann. of Math. 31, 1930): pi and p/pi are the roots of
+    x^2 - alpha x + p, so alpha_0 = 2, alpha_1 = alpha and alpha_(n+1) =
+    alpha alpha_n - p alpha_(n-1).  With alpha = (t + sqrt(D))/2 (factor_data)
+    and alpha_n = (u_n + v_n sqrt(D))/2, alpha alpha_n has the halves
+    (t u_n + D v_n)/2 and (u_n + t v_n)/2, integers since t = D (mod 2) and
+    u_n = t v_n (mod 2), as alpha_n lies in Z[alpha].  Then check 4's test,
+    _has_degree_4(u_n, v_n^2 D, p^n), decides [Q(pi^n) : Q] = 4.
 
     A first drop is always to degree 2: were pi^n rational, it would equal its
     conjugate (p/pi)^n, so pi^2n = p^n; that needs n even, and then pi^(n/2)
@@ -166,11 +170,14 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
         raise ValueError("stability bound must be at least 2")
     if not is_irreducible(quartic):
         raise ValueError("stability requires an irreducible Weil quartic")
-    s = power_sums(quartic.poly, 2 * bound)
+    p = quartic.p
+    t, disc, _ = quartic.factor_data()
+    u0, v0, u, v, q = 4, 0, t, 1, p  # alpha_(n-1), alpha_n and p^n at n = 1
     degrees = []
     for n in range(2, bound + 1):
-        q = quartic.p**n
-        degrees.append(4 if _has_degree_4(s[n], 2 * s[2 * n] - s[n] ** 2 + 8 * q, q) else 2)
+        u0, v0, u, v = u, v, (t * u + disc * v) // 2 - p * u0, (u + t * v) // 2 - p * v0
+        q *= p
+        degrees.append(4 if _has_degree_4(u, v * v * disc, q) else 2)
         if degrees[-1] != 4:
             return StabilityReport(bound, tuple(degrees), n)
     return StabilityReport(bound, tuple(degrees), None)

@@ -110,6 +110,16 @@ def test_huge_d_is_refused_at_once(args):
     assert result.stderr.startswith("error:") and "exceeds the bound" in result.stderr
 
 
+def test_imaginary_generator_of_a_huge_prime_ideal_in_bounded_time():
+    # a prime ideal of norm about 10^20 in Z[i]: a search over |y| <= sqrt(4a/|D|) would try
+    # about 10^10 values; Gauss reduction with the basis change takes O(log a) steps
+    args = ["principal", "--d", "-1", "--a", "100000000000000000129", "--b", "44237909966037281987"]
+    result = _python("-m", "zdcert", *args, capture_output=True, timeout=10)
+    assert result.returncode == 0
+    assert result.stdout == ("100000000000000000129Z + (44237909966037281987 + √(-1))Z: "
+                             "principal, generated by 4418521500 - 8970878873√(-1)\n")
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"level": ' + "9" * 5000 + "}"],
                          ids=["nested-100000-deep", "integer-5000-digits"])
 def test_hostile_json_is_a_located_input_error(tmp_path, capsys, text):

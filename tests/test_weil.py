@@ -5,8 +5,9 @@ from math import isqrt
 
 import pytest
 
+from zdcert import weil
 from zdcert.errors import DeductionRefused, InvalidEigenvalueError
-from zdcert.polynomials import IntPoly, discriminant, is_rational_square, power_sums
+from zdcert.polynomials import IntPoly, discriminant, is_rational_square
 from zdcert.quadratic import QuadElement, is_prime
 from zdcert.weil import (
     NewformDatum,
@@ -21,7 +22,7 @@ from zdcert.weil import (
     is_ordinary,
 )
 
-from test_polynomials import fraction_rank, is_irreducible_quartic
+from test_polynomials import fraction_rank, is_irreducible_quartic, power_sums
 from test_quadratic import real_sign
 
 EIGEN_17 = QuadElement(10, 4, -1)
@@ -430,6 +431,42 @@ def test_irreducibility_matches_divisor_pair_search():
         tally["D < 0"] += disc_alpha < 0
     assert tally["irreducible"] >= 500 and tally["D < 0"] >= 200, tally
     assert tally["D square"] >= 500 and tally["split over Q(sqrt(D))"] >= 500, tally
+
+
+def _power_sum_stability(quartic, bound):
+    """(degrees, failed_at) by the power sums s_k of the quartic's roots: alpha_n
+    has trace s_n and (alpha_n - conj(alpha_n))^2 = 2 s_2n - s_n^2 + 8p^n."""
+    s = power_sums(quartic.poly, 2 * bound)
+    degrees = []
+    for n in range(2, bound + 1):
+        q = quartic.p**n
+        degrees.append(4 if weil._has_degree_4(s[n], 2 * s[2 * n] - s[n] ** 2 + 8 * q, q) else 2)
+        if degrees[-1] != 4:
+            return tuple(degrees), n
+    return tuple(degrees), None
+
+
+def test_stability_lucas_sequence_matches_power_sums_random():
+    # (t, n) drawn inside the Weil range r^2 <= 4p at both conjugates r, as in
+    # weil._trace_and_norm, for every prime p < 100
+    rng = random.Random(20261019)
+    primes = [p for p in _PRIMES if p < 100]
+    quartics = {}
+    for _ in range(20000):
+        p = rng.choice(primes)
+        m = isqrt(16 * p)
+        t = rng.randint(-m, m)
+        n = rng.randint(-((8 * p - t * t) // 2), t * t // 4)
+        quartic = _quartic_of(p, t, n)
+        if n * n - 4 * p * (t * t - 2 * n) + 16 * p * p >= 0 and is_irreducible(quartic):
+            quartics[quartic] = None
+    first_drops = {}
+    for quartic in quartics:
+        report = endomorphism_stability(quartic, 24)
+        assert (report.degrees, report.failed_at) == _power_sum_stability(quartic, 24), quartic
+        first_drops[report.failed_at] = first_drops.get(report.failed_at, 0) + 1
+    assert len(quartics) >= 5000 and len(quartics) - first_drops[None] >= 400, first_drops
+    assert set(first_drops) == {None, 2, 3, 4, 5, 6}, first_drops
 
 
 def test_newform_datum_validation():
