@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import MismatchError
-from .quadratic import _Value
+from .quadratic import _Value, _terms_text
 from .steinitz import AVClass, ModuleClass, direct_sum, tensor_av, zero_module
 
 
@@ -141,21 +141,7 @@ class MonoidRingElement(_Value):
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            basis = f"e[{self.monoid.describe(e)}]"
-            if c == 1:
-                parts.append(basis)
-            elif c == -1:
-                parts.append(f"-{basis}")
-            else:
-                parts.append(f"{c}*{basis}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return _terms_text([(c, f"e[{self.monoid.describe(e)}]") for e, c in self.terms], times="*")
 
 
 def _canonical(monoid: FreeMonoid | AVMonoid, pairs: Iterable) -> MonoidRingElement:

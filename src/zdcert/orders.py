@@ -241,22 +241,12 @@ def _generator_of(ideal: FracIdeal) -> QuadElement:
 def _imaginary_generator(ideal: FracIdeal) -> QuadElement:
     """The generator x*a + y*(b + w), times the scale, of a principal imaginary
     ideal, least in (y, -x) among its associates.  Gauss reduction of the ideal's
-    form f, carrying the basis change M (f(M(X, Y)) is the current form), ends at
-    (1, .), which is 1 at (1, 0); so f is 1 at M's first column (x, y), and
-    x*a + y*(b + w) has the primitive ideal's norm: it generates it, as do its
-    unit multiples."""
+    form f (_reduce_form) ends at (1, .), and f is 1 at the first column (x, y)
+    of its change of basis; so x*a + y*(b + w) has the primitive ideal's norm: it
+    generates it, as do its unit multiples."""
     order = ideal.order
     a, b = _form_of(ideal)
-    x, y, x2, y2 = 1, 0, 0, 1  # the columns of M
-    while True:
-        k = (a - b) // (2 * a)  # (X, Y) -> (X + kY, Y) takes b into (-a, a]
-        b += 2 * a * k
-        x2, y2 = x2 + k * x, y2 + k * y
-        c = (b * b - order.disc) // (4 * a)
-        if a <= c:
-            break
-        a, b = c, -b  # (X, Y) -> (-Y, X)
-        x, y, x2, y2 = x2, y2, -x, -y
+    _, _, x, y = _reduce_form(a, b, order.disc)
     # the associates u + v*w, by powers of w, a unit of order 4 or 6, for d = -1 or -3,
     # else by -1
     units = {-1: 4, -3: 6}.get(order.d, 2)
@@ -301,14 +291,25 @@ def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[tuple[i
     return (v1 * v2, b2 + 2 * v2 * r), e
 
 
-def _reduce_form(a: int, b: int, disc: int) -> tuple[int, int]:
-    """Gauss reduction of a positive definite form (disc < 0)."""
+def _reduce_form(a: int, b: int, disc: int) -> tuple[int, int, int, int]:
+    """Gauss reduction of a positive definite form f (disc < 0): the reduced form
+    (a', b') and the first column (x, y) of the change of basis M, with
+    f(M(X, Y)) the reduced form, so f(x, y) = a' and gcd(x, y) = 1."""
+    x, y, x2, y2 = 1, 0, 0, 1  # the columns of M
     while True:
-        b += 2 * a * ((a - b) // (2 * a))  # -a < b <= a
+        k = (a - b) // (2 * a)  # (X, Y) -> (X + kY, Y) takes b into (-a, a]
+        if k:  # often 0: skipping keeps the tracked loop as fast as a bare one
+            b += 2 * a * k
+            x2 += k * x
+            y2 += k * y
         c = (b * b - disc) // (4 * a)
         if a <= c:
-            return a, -b if a == c and b < 0 else b
-        a, b = c, -b
+            if a == c and b < 0:  # (X, Y) -> (-Y, X) swaps a and c
+                return a, -b, x2, y2
+            return a, b, x, y
+        a, b = c, -b  # (X, Y) -> (-Y, X)
+        x, x2 = x2, -x
+        y, y2 = y2, -y
 
 
 def _reduced(order: QuadOrder, form: tuple[int, int], seen: dict) -> tuple[int, int]:
@@ -321,7 +322,7 @@ def _reduced(order: QuadOrder, form: tuple[int, int], seen: dict) -> tuple[int, 
     """
     a, b = form
     if not order.is_real:
-        return _reduce_form(a, b, order.disc)
+        return _reduce_form(a, b, order.disc)[:2]
     state = (b % (2 * a), 2 * a)
     path: dict[tuple[int, int], int] = {}
     while state not in seen and state not in path:

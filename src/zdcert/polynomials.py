@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .quadratic import _Value, binary_power, exact_isqrt
+from .quadratic import _Value, _terms_text, binary_power, exact_isqrt
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -89,23 +89,8 @@ class IntPoly(_Value):
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) == 1:
-                term = mono if c == 1 else f"-{mono}"
-            else:
-                term = f"{c}{mono}"
-            parts.append(term)
-        s = parts[0]
-        for t in parts[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
+        return _terms_text([(self.coeffs[i], "" if i == 0 else "x" if i == 1 else f"x^{i}")
+                            for i in range(self.degree, -1, -1)])
 
 
 X = IntPoly((0, 1))

@@ -15,19 +15,7 @@ CLASS_GROUP_BOUND = 10**6
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        if n % f == 0:
-            n //= f
-        f += 2
-    return True
+    return n != 0 and all(n % (q * q) for q in prime_divisors(abs(n)))
 
 
 # Miller-Rabin to the first 13 prime bases is proven correct for every n below
@@ -64,15 +52,15 @@ def is_prime(n: int) -> bool:
 
 
 def prime_divisors(n: int) -> list[int]:
-    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    """The distinct prime divisors of n >= 1, ascending, by trial division by 2, then odd f."""
     out = []
-    f = 2
+    f, step = 2, 1
     while f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
-        f += 1
+        f, step = f + step, 2
     if n > 1:
         out.append(n)
     return out
@@ -229,13 +217,28 @@ class QuadElement(_Value):
         return self.a.denominator == 1 and self.b.denominator == 1
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        root = _root_text(self.d)
-        bpart = root if abs(self.b) == 1 else f"{abs(self.b)}{root}"
-        if self.a == 0:
-            return bpart if self.b > 0 else f"-{bpart}"
-        return f"{self.a} {'+' if self.b > 0 else '-'} {bpart}"
+        return _terms_text([(self.a, ""), (self.b, _root_text(self.d))])
+
+
+def _terms_text(terms, times: str = "") -> str:
+    """The sum of the (coefficient, basis text) terms as text, as in 1/2 - √5 or
+    x^2 - 3x + 1: zero terms are left out, an empty basis shows the coefficient, a
+    coefficient ±1 only its sign, any other coefficient + times + basis; "0" if all are zero."""
+    out = ""
+    for c, basis in terms:
+        if c == 0:
+            continue
+        if not basis:
+            text = str(abs(c))
+        elif abs(c) == 1:
+            text = basis
+        else:
+            text = f"{abs(c)}{times}{basis}"
+        if out:
+            out += f" - {text}" if c < 0 else f" + {text}"
+        else:
+            out = f"-{text}" if c < 0 else text
+    return out or "0"
 
 
 def _root_text(d: int) -> str:

@@ -11,6 +11,7 @@ argument consumes.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
 
 from .errors import MismatchError
 from .orders import IdealClass, QuadOrder, trivial_class
@@ -48,13 +49,7 @@ def class_of_ideal_sum(classes: Sequence[IdealClass]) -> ModuleClass:
     """Class of I_1 + ... + I_n: (n, product of the classes)."""
     if not classes:
         raise ValueError("need at least one ideal class (the order is otherwise unknown)")
-    order = classes[0].order
-    product = trivial_class(order)
-    for c in classes:
-        if c.order != order:
-            raise MismatchError("ideal classes live over different orders")
-        product = product * c
-    return ModuleClass(len(classes), product)
+    return reduce(direct_sum, (ModuleClass(1, c) for c in classes))
 
 
 def direct_sum(m1: ModuleClass, m2: ModuleClass) -> ModuleClass:

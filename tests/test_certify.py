@@ -289,8 +289,8 @@ def test_one_run_hashes_no_class_chain_and_validates_only_input_ideals(monkeypat
     # one bundled operation: monoid-ring terms are summed by sort key and a basis
     # element is built as its one term, so nothing is hashed; class ideals come from
     # reduced forms without FracIdeal.__init__ (left: the input ideal and the three
-    # prime ideals above 2 and 3); a trivial class factor skips the composition; ω is
-    # written from d, not built
+    # prime ideals above 2 and 3); a trivial class factor skips the composition, and
+    # check 8 composes [I]^2 once; ω is written from d, not built
     from zdcert.orders import FracIdeal, QuadOrder, _compose
     from zdcert.quadratic import _Value
 
@@ -314,7 +314,7 @@ def test_one_run_hashes_no_class_chain_and_validates_only_input_ideals(monkeypat
     assert cert.verdict == "pass" and cert.to_json() and cert.render_text()
     assert counts["__hash__"] == 0
     assert counts["__init__"] <= 4
-    assert compose_calls[0] <= 6
+    assert compose_calls[0] <= 5
     assert counts["omega"] == 0
 
 

@@ -760,3 +760,38 @@ def test_ideals_built_from_forms_pass_validation():
         for ideal in ideals:
             assert FracIdeal(ideal.order, ideal.a, ideal.b, ideal.scale) == ideal, (d, ideal)
             assert type(ideal.scale) is Fraction and 0 <= ideal.b < ideal.a
+
+
+def _gauss_reduce_reference(a: int, b: int, disc: int) -> tuple[int, int]:
+    """Test-local oracle: Gauss reduction of a positive definite form, without the change of basis."""
+    while True:
+        b += 2 * a * ((a - b) // (2 * a))  # -a < b <= a
+        c = (b * b - disc) // (4 * a)
+        if a <= c:
+            return a, -b if a == c and b < 0 else b
+        a, b = c, -b
+
+
+def test_reduce_form_returns_the_reduced_form_and_a_primitive_representation():
+    from zdcert.orders import _reduce_form
+
+    rng = random.Random(20261020)
+    forms = [(2, -1, 2), (1, -1, 1), (3, -3, 5), (1, 1, 1), (1, 0, 1)]
+    for _ in range(1500):
+        a, c = rng.randint(1, 10**4), rng.randint(1, 10**4)
+        forms.append((a, rng.randint(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1)), c))
+    # unimodular images of the principal forms of discriminants -3 and -4, and of random forms
+    for start in [(1, 1, 1), (1, 0, 1)] * 100 + forms[5:205]:
+        a, b, c = start
+        for _ in range(rng.randint(1, 12)):
+            k = rng.randint(-50, 50)
+            a, b, c = a * k * k + b * k + c, -(b + 2 * a * k), a  # (X, Y) -> (X + kY, Y), then (-Y, X)
+        forms.append((a, b, c))
+    for a, b, c in forms:
+        disc = b * b - 4 * a * c
+        ra, rb, x, y = _reduce_form(a, b, disc)
+        assert (ra, rb) == _gauss_reduce_reference(a, b, disc), (a, b, c)
+        assert a * x * x + b * x * y + c * y * y == ra and gcd(x, y) == 1, (a, b, c)
+    assert sum(b * b - 4 * a * c in (-3, -4) for a, b, c in forms) >= 200
+    # a = c with b < 0 ends with (X, Y) -> (-Y, X), whose first column is M's second
+    assert _reduce_form(2, -1, -15) == (2, 1, 0, 1)

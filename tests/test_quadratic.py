@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from zdcert.errors import MismatchError, ResourceLimitError
-from zdcert.quadratic import PRIME_TEST_BOUND, QuadElement, is_prime, is_squarefree
+from zdcert.monoidring import AVMonoid, FreeMonoid, MonoidRingElement
+from zdcert.orders import class_group, maximal_order
+from zdcert.polynomials import IntPoly
+from zdcert.quadratic import PRIME_TEST_BOUND, QuadElement, is_prime, is_squarefree, prime_divisors
+from zdcert.steinitz import ModuleClass
 
 
 def real_sign(x: QuadElement) -> int:
@@ -173,3 +177,94 @@ def test_is_prime_rejects_pseudoprimes_and_stops_at_its_proven_bound():
     for n in (PRIME_TEST_BOUND, 2**89 - 1):  # psi_13 itself, and a Mersenne prime above it
         with pytest.raises(ResourceLimitError):
             is_prime(n)
+
+
+def _joined_reference(parts: list[str]) -> str:
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _poly_text_reference(p: IntPoly) -> str:
+    """Test-local oracle: IntPoly text written term by term, then sign-joined."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p[i]
+        if c == 0:
+            continue
+        mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
+        parts.append((mono if c == 1 else f"-{mono}") if i > 0 and abs(c) == 1 else f"{c}{mono}")
+    return _joined_reference(parts)
+
+
+def _quad_text_reference(x: QuadElement) -> str:
+    """Test-local oracle: a + b√d text by cases on a and b."""
+    if x.b == 0:
+        return str(x.a)
+    root = f"√{x.d}" if x.d > 0 else f"√({x.d})"
+    bpart = root if abs(x.b) == 1 else f"{abs(x.b)}{root}"
+    if x.a == 0:
+        return bpart if x.b > 0 else f"-{bpart}"
+    return f"{x.a} {'+' if x.b > 0 else '-'} {bpart}"
+
+
+def _ring_text_reference(r: MonoidRingElement) -> str:
+    """Test-local oracle: monoid-ring text written term by term, then sign-joined."""
+    if not r.terms:
+        return "0"
+    parts = []
+    for e, c in r.terms:
+        basis = f"e[{r.monoid.describe(e)}]"
+        parts.append(basis if c == 1 else f"-{basis}" if c == -1 else f"{c}*{basis}")
+    return _joined_reference(parts)
+
+
+def test_element_text_matches_term_by_term_references():
+    rng = random.Random(20261021)
+    small = [0, 0, 1, -1, 2, -2, 7, -13, 10**20, -(10**20)]
+    rationals = small + [Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 2), Fraction(22, 9)]
+    polys = [IntPoly(()), IntPoly((5,)), IntPoly((-1,)), IntPoly((0, 1)), IntPoly((0, -1)),
+             IntPoly((1, 0, -1)), IntPoly((-3, 0, 0, 1)), IntPoly((0, 0, -2))]
+    polys += [IntPoly([rng.choice(small) for _ in range(rng.randint(1, 6))]) for _ in range(500)]
+    for p in polys:
+        assert str(p) == _poly_text_reference(p), p.coeffs
+    for _ in range(1000):
+        x = QuadElement(rng.choice((-5, -3, -1, 2, 3, 10, 13)), rng.choice(rationals), rng.choice(rationals))
+        assert str(x) == _quad_text_reference(x), repr(x)
+    free = FreeMonoid(["a", "b"])
+    o10 = maximal_order(10)
+    av = AVMonoid("A", o10)
+    av_elems = [av.identity()] + [av.element(ModuleClass(n, c)) for n in (1, 2) for c in class_group(o10).classes]
+    for _ in range(300):
+        for monoid, elems in ((free, [(i, j) for i in range(3) for j in range(3)]), (av, av_elems)):
+            picked = rng.sample(elems, rng.randint(0, 4))
+            r = MonoidRingElement.build(monoid, {e: rng.choice(small) for e in picked})
+            assert str(r) == _ring_text_reference(r), r.terms
+
+
+def _prime_factors_brute_force(n: int) -> list[int]:
+    """Test-local oracle: the prime factors of n >= 1 with multiplicity, dividing by every q >= 2."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def test_trial_division_matches_brute_force_factoring():
+    near_a_million = [10**6 - k for k in range(60)] + [10**6 + k for k in range(60)]
+    for n in list(range(1, 5001)) + near_a_million:
+        factors = _prime_factors_brute_force(n)
+        assert prime_divisors(n) == sorted(set(factors)), n
+        squarefree = len(factors) == len(set(factors))
+        assert is_squarefree(n) == is_squarefree(-n) == squarefree, n
+    assert not is_squarefree(0)
+    assert prime_divisors(999999999989) == [999999999989] and is_prime(999999999989)
+    assert prime_divisors(10**12) == [2, 5] and not is_squarefree(10**12)
+    assert prime_divisors(999983**2) == [999983] and not is_squarefree(999983**2)
+    assert prime_divisors(2 * 999983) == [2, 999983] and is_squarefree(-2 * 999983)
