@@ -12,10 +12,12 @@ c its content, is c*(|N(x + y*w)|, x/y + w).  Ideal classes are computed as
 reduced forms, composed and reduced (real fields walk the continued fraction
 of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs); an ideal is built
 only when a class is returned, from its reduced form without FracIdeal's
-checks, which such a form passes by construction.  An ideal is principal when its reduced class
-is trivial; a real ideal's generator and the fundamental unit come from one
-walk, the product of complete quotients up to the unit ideal, and an imaginary
-ideal's generator from Gauss reduction of its form, carrying the change of basis.
+checks, which such a form passes by construction; the prime ideals up to the
+Minkowski bound are the forms (p, r) of the sieved primes p, with r a square root
+of D mod p (Tonelli-Shanks, Cohen, Alg. 1.5.1).  An ideal is principal when its
+reduced class is trivial; a real ideal's generator and the fundamental unit come
+from one walk, the product of complete quotients up to the unit ideal, and an
+imaginary ideal's generator from Gauss reduction of its form, carrying the change of basis.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, _Value, _check_d, _element, _root_text, binary_power, is_prime
+from .quadratic import QuadElement, Rat, _Value, _check_d, _element, _root_text, binary_power
 
 _MAX_STEPS = 1_000_000
 
@@ -266,13 +268,17 @@ def _form_of(ideal: FracIdeal) -> tuple[int, int]:
     return ideal.a, 2 * ideal.b + ideal.order.omega_trace
 
 
-def _ideal_of(order: QuadOrder, form: tuple[int, int], scale: Rat = 1) -> FracIdeal:
-    """scale > 0 times the primitive ideal whose form (see _form_of) is form, built
-    without FracIdeal's checks: a form (a, b) of discriminant D has b^2 = D mod 4a,
-    which makes a divide N((b - tr w)/2 + w), so (a, (b - tr w)/2 + w) is an ideal."""
+def _ideal_of(order: QuadOrder, form: tuple[int, int], scale: Fraction = Fraction(1)) -> FracIdeal:
+    """scale > 0 (by default one shared Fraction(1)) times the primitive ideal of form
+    (see _form_of), without FracIdeal's checks: a form (a, b) of discriminant D has
+    b^2 = D mod 4a, so a divides N((b - tr w)/2 + w) and (a, (b - tr w)/2 + w) is an ideal."""
     a, b = form
     ideal = object.__new__(FracIdeal)
-    _Value.__init__(ideal, order, a, (b - order.omega_trace) // 2 % a, Fraction(scale))
+    setfield = object.__setattr__
+    setfield(ideal, "order", order)
+    setfield(ideal, "a", a)
+    setfield(ideal, "b", b // 2 % a)  # b = tr w mod 2, so b // 2 = (b - tr w) / 2
+    setfield(ideal, "scale", scale)
     return ideal
 
 
@@ -284,6 +290,8 @@ def _compose(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[tuple[i
     ideals of f and g is e times the ideal of (a3, b3)."""
     (a1, b1), (a2, b2) = f, g
     s = (b1 + b2) // 2
+    if gcd(a1, a2) == 1:  # then e = 1 and r = (s - b2) / a2 mod a1
+        return (a1 * a2, b2 + 2 * a2 * ((s - b2) * pow(a2, -1, a1) % a1)), 1
     d, y1, _ = _xgcd(a2, a1)
     e, x2, y2 = _xgcd(s, d)
     v1, v2 = a1 // e, a2 // e
@@ -454,15 +462,33 @@ def minkowski_bound(order: QuadOrder) -> int:
     return (2 * isqrt(-order.disc)) // 3 + 1
 
 
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the square n mod the odd prime p (Tonelli-Shanks; Cohen, Alg. 1.5.1)."""
+    if p % 4 == 3 or n == 0:
+        return pow(n, (p + 1) // 4, p)
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e q with q odd
+    q = (p - 1) >> e
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)  # a non-residue
+    y, x, b = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while b != 1:  # x^2 = n b, and y generates the subgroup of order 2^e that holds b
+        m, t = 1, b * b % p
+        while t != 1:
+            m, t = m + 1, t * t % p
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
 def _ideals_above_prime(order: QuadOrder, p: int) -> list[FracIdeal]:
-    """Degree-one prime ideals over the prime p, ascending: empty when p is inert."""
-    if p > 2 and pow(order.disc, (p - 1) // 2, p) == p - 1:
-        return []  # Euler's criterion: disc is a non-residue, so p is inert
-    b = next((b for b in range(p) if order.norm_b_plus_omega(b) % p == 0), None)
-    if b is None:
-        return []
-    # the roots of x^2 + tr(w) x + N(w) mod p sum to -tr(w)
-    return [FracIdeal(order, p, r) for r in sorted({b, (-order.omega_trace - b) % p})]
+    """Degree-one prime ideals over the prime p, ascending: the ideals of the forms (p, |r|)
+    and (p, -|r|), r^2 = D mod 4p, r = D mod 2, -p < r <= p (for odd p a square root of D mod p
+    by Tonelli-Shanks, Cohen, Alg. 1.5.1, or that root - p).  None when p is inert, one when p | r."""
+    disc = order.disc
+    if p == 2 and disc % 8 == 5 or p > 2 and pow(disc, (p - 1) // 2, p) == p - 1:
+        return []  # inert: D = 5 mod 8, or for odd p a non-residue by Euler's criterion
+    r = (1 if disc % 2 else disc % 8 // 2) if p == 2 else _sqrt_mod(disc % p, p)
+    r -= p if (r - disc) % 2 else 0
+    return [_ideal_of(order, (p, f)) for f in ((abs(r),) if r % p == 0 else (abs(r), -abs(r)))]
 
 
 def class_group(order: QuadOrder) -> ClassGroup:
@@ -478,7 +504,11 @@ def class_group(order: QuadOrder) -> ClassGroup:
     Works for any fundamental discriminant; QuadOrder's cap |d| <= CLASS_GROUP_BOUND
     keeps the prime enumeration and reduction cycles at desk scale.
     """
-    above = [_ideals_above_prime(order, p) for p in range(2, minkowski_bound(order) + 1) if is_prime(p)]
+    bound = minkowski_bound(order)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    for p in range(2, isqrt(bound) + 1):  # composite p too: its multiples are composite
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    above = [_ideals_above_prime(order, p) for p in range(bound + 1) if sieve[p]]
     gens = [i for ideals in above for i in ideals]
 
     # every continued-fraction state walked in this call, with its reduced form

@@ -259,13 +259,13 @@ def test_one_run_checks_the_field_parameter_once(monkeypatch):
 
 
 def test_one_run_tests_each_quartic_prime_once(monkeypatch):
-    # 17 and 19 once each in NewformDatum and once each in frobenius_charpoly; 2 and 3,
-    # the primes up to the Minkowski bound of Q(√10), once each in class_group
+    # 17 and 19 once each in NewformDatum and once each in frobenius_charpoly; class_group
+    # sieves its primes up to the Minkowski bound and tests none of them with is_prime
     from zdcert.quadratic import is_prime
 
     calls = _count_calls(monkeypatch, is_prime)
     assert run_raw(DATASET).verdict == "pass"
-    assert calls == [6]
+    assert calls == [4]
 
 
 def test_one_run_reduces_the_chosen_ideal_once(monkeypatch):

@@ -484,6 +484,79 @@ def test_prime_ideals_above_match_brute_scan():
             assert _ideals_above_prime(order, p) == [FracIdeal(order, p, b) for b in brute], (d, p)
 
 
+def _primes_below(n: int) -> list[int]:
+    return [p for p in range(2, n) if all(p % f for f in range(2, isqrt(p) + 1))]
+
+
+def test_prime_ideals_above_match_brute_scan_for_large_fields():
+    # every prime below 1400, which covers the Minkowski bound 1333 of |d| <= 10^6; among
+    # them 257, 641, 769 and 1153, where p - 1 has a power of 2 that runs the Tonelli-Shanks loop
+    rng = random.Random(20261021)
+    fields = []
+    for center in (10**6, -(10**6), 2 * 10**4, -2 * 10**4):
+        near = [d for d in range(center - 3000, center + 3001) if abs(d) <= 10**6 and is_squarefree(d)]
+        fields += rng.sample(near, 4)
+    assert max(minkowski_bound(maximal_order(d)) for d in fields) < 1400
+    for d in fields:
+        order = maximal_order(d)
+        tr, n = order.omega_trace, order.omega_norm
+        for p in _primes_below(1400):
+            brute = [b for b in range(p) if (b * b + tr * b + n) % p == 0]
+            assert _ideals_above_prime(order, p) == [FracIdeal(order, p, b) for b in brute], (d, p)
+
+
+def test_sqrt_mod_matches_brute_force():
+    from zdcert.orders import _sqrt_mod
+
+    for p in _primes_below(600)[1:]:
+        roots: dict[int, set[int]] = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, set()).add(x)
+        assert len(roots) == (p + 1) // 2
+        for n, xs in roots.items():
+            assert _sqrt_mod(n, p) in xs, (n, p)
+
+
+def _xgcd_reference(a: int, b: int) -> tuple[int, int, int]:
+    """g = gcd(a, b) >= 0 and x, y with a x + b y = g, by the extended Euclidean algorithm."""
+    x, next_x, y, next_y = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+    return (a, x, y) if a >= 0 else (-a, -x, -y)
+
+
+def _compose_by_xgcd(disc: int, f: tuple[int, int], g: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """Test-local Dirichlet composition (Cohen, Alg. 5.4.7) through two extended gcds, for every a1, a2."""
+    (a1, b1), (a2, b2) = f, g
+    s = (b1 + b2) // 2
+    d, y1, _ = _xgcd_reference(a2, a1)
+    e, x2, y2 = _xgcd_reference(s, d)
+    v1, v2 = a1 // e, a2 // e
+    r = (y1 * y2 * (s - b2) - x2 * ((b2 * b2 - disc) // (4 * a2))) % v1
+    return (v1 * v2, b2 + 2 * v2 * r), e
+
+
+def test_compose_matches_the_xgcd_composition():
+    from zdcert.orders import _compose
+
+    rng = random.Random(20261022)
+    seen = set()
+    for d in [-5, -23, -3315, 10, 79, 1155] + _sample_fields(rng):
+        disc = maximal_order(d).disc
+        # the primitive forms (a, b), -a < b <= a, of the fundamental discriminant disc
+        forms = [(a, b) for a in range(1, 120) for b in range(-a + 1, a + 1) if (b * b - disc) % (4 * a) == 0]
+        pairs = [(rng.choice(forms), rng.choice(forms)) for _ in range(300)]
+        pairs += [(forms[0], g) for g in rng.sample(forms, 20)] + [(f, f) for f in rng.sample(forms, 20)]
+        for f, g in pairs:
+            assert _compose(disc, f, g) == _compose_by_xgcd(disc, f, g), (disc, f, g)
+            seen.add((disc > 0, gcd(f[0], g[0]) == 1, f[0] == 1, f[0] == g[0]))
+    for real in (True, False):
+        assert {(real, True, True, False), (real, False, False, False), (real, False, False, True)} <= seen
+
+
 def test_prime_ideal_splitting():
     # 3 splits in Z[sqrt(10)]: two primes with b in {1, 2}
     split = _ideals_above_prime(O10, 3)
@@ -748,13 +821,14 @@ def test_ideal_text_writes_omega_as_the_order_does():
 
 
 def test_ideals_built_from_forms_pass_validation():
-    # class ideals and ideal products skip FracIdeal's checks; each must pass them
+    # class ideals, generator (prime) ideals and ideal products skip FracIdeal's checks;
+    # each must pass them
     rng = random.Random(20261019)
     for d in [d for d in range(-400, 401) if d not in (0, 1) and is_squarefree(d)] + [-18185, 4279]:
         order = maximal_order(d)
         cg = class_group(order)
         products = [c * g for c in cg.classes for g in cg.classes[:3]]
-        ideals = [c.rep for c in (*cg.classes, *products, trivial_class(order))]
+        ideals = [c.rep for c in (*cg.classes, *products, trivial_class(order))] + list(cg.generators)
         for _ in range(5):
             ideals.append(_random_ideal(rng, order, scaled=True) * _random_ideal(rng, order))
         for ideal in ideals:
