@@ -145,8 +145,38 @@ class Certificate:
 def _write_json(value, out: list[str], newline: str) -> None:
     """Append json.dumps(value, indent=2, sort_keys=True) to out, as nested under newline
     (a newline and the enclosing indent): the same bytes, without json's pure-Python
-    encoder, which is what indent selects.  Dict keys must be strings."""
-    if isinstance(value, str):
+    encoder, which is what indent selects.  Dict keys must be strings.  Containers come
+    first, and write a child of the exact type str or int inline, without a call."""
+    if isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner  # before the first child; an empty dict writes only "{}"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item, head = value[key], sep + _quote(key) + ": "
+            if item.__class__ is str:
+                out.append(head + _quote(item))
+            elif item.__class__ is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner  # before the first child; an empty list writes only "[]"
+        for item in value:
+            if item.__class__ is str:
+                out.append(sep + _quote(item))
+            elif item.__class__ is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
         out.append("null")
@@ -158,30 +188,6 @@ def _write_json(value, out: list[str], newline: str) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write_json(value[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -8,7 +8,8 @@ otherwise.  A fractional ideal is stored in two-generator normal form
 which is unique per ideal.  Ideals multiply by composing their primitive
 forms (a, b) of discriminant D: the product is the composition's content
 times the ideal of the composed form.  The ideal of a generator c*(x + y*w),
-c its content, is c*(|N(x + y*w)|, x/y + w).  Ideal classes are computed as
+c its content, is c*(|N(x + y*w)|, x/y + w), with x, y and c read from the
+element's integer numerators over one denominator.  Ideal classes are computed as
 reduced forms, composed and reduced (real fields walk the continued fraction
 of (b_D + sqrt(D)) / (2a) as exact (P, Q) integer pairs); an ideal is built
 only when a class is returned, from its reduced form without FracIdeal's
@@ -16,18 +17,20 @@ checks, which such a form passes by construction; the prime ideals up to the
 Minkowski bound are the forms (p, r) of the sieved primes p, with r a square root
 of D mod p (Tonelli-Shanks, Cohen, Alg. 1.5.1).  An ideal is principal when its
 reduced class is trivial; a real ideal's generator and the fundamental unit come
-from one walk, the product of complete quotients up to the unit ideal, and an
-imaginary ideal's generator from Gauss reduction of its form, carrying the change of basis.
+from one walk, the product of complete quotients up to the unit ideal, multiplied
+as integers over one denominator; an imaginary ideal's generator comes from Gauss
+reduction of its form, carrying the change of basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .errors import MismatchError, ResourceLimitError
-from .quadratic import QuadElement, Rat, _Value, _check_d, _element, _root_text, binary_power
+from .quadratic import (QuadElement, Rat, _Value, _check_d, _element, _from_ints, _over_one_denominator,
+                        _root_text, binary_power)
 
 _MAX_STEPS = 1_000_000
 
@@ -62,11 +65,15 @@ class QuadOrder(_Value):
         return b * b + self.omega_trace * b + self.omega_norm
 
     def to_coords(self, x: QuadElement) -> tuple[Fraction, Fraction]:
+        u, v, z = self._int_coords(x)
+        return Fraction(u, z), Fraction(v, z)
+
+    def _int_coords(self, x: QuadElement) -> tuple[int, int, int]:
+        """Integers (u, v, z), z > 0, with x = (u + v*w) / z: sqrt(d) = 2w - 1 when d = 1 mod 4."""
         if x.d != self.d:
             raise MismatchError(f"element of Q(sqrt({x.d})) used with order of Q(sqrt({self.d}))")
-        if self.d % 4 == 1:
-            return (x.a - x.b, 2 * x.b)
-        return (x.a, x.b)
+        u, v, z = _over_one_denominator(x)
+        return (u - v, 2 * v, z) if self.d % 4 == 1 else (u, v, z)
 
     def from_coords(self, x: Rat, y: Rat) -> QuadElement:
         return _element(self.d, x) + Fraction(y) * self.omega()
@@ -161,14 +168,14 @@ def unit_ideal(order: QuadOrder) -> FracIdeal:
 def principal_ideal(order: QuadOrder, alpha: QuadElement) -> FracIdeal:
     if alpha.is_zero():
         raise ValueError("the zero element generates no fractional ideal")
-    # alpha = c * (x + y*w) with c its content; the primitive x + y*w lies in
-    # (a, b + w) with a = |N(x + y*w)| exactly when b = x/y mod a (y is prime to
-    # a, and a = 1 when y = 0), and both ideals have norm a, so they are equal
-    x, y = order.to_coords(alpha)
-    content = Fraction(gcd(x.numerator, y.numerator), lcm(x.denominator, y.denominator))
-    x, y = int(x / content), int(y / content)
+    # alpha = (x + y*w) / z = c * (x/g + y/g*w) with content c = g/z, g = gcd(x, y); the
+    # primitive x + y*w (now divided by g) lies in (a, b + w) with a = |N(x + y*w)| exactly
+    # when b = x/y mod a (y is prime to a, and a = 1 when y = 0), and both ideals have norm a
+    x, y, z = order._int_coords(alpha)
+    g = gcd(x, y)
+    x, y = x // g, y // g
     a = abs(x * x + order.omega_trace * x * y + order.omega_norm * y * y)
-    return FracIdeal(order, a, x * pow(y, -1, a), content)
+    return FracIdeal(order, a, x * pow(y, -1, a), Fraction(g, z))
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +204,18 @@ def _cf_step(order: QuadOrder, p: int, q: int) -> tuple[int, int]:
     return p1, q1
 
 
-def _theta(order: QuadOrder, p: int, q: int) -> QuadElement:
-    # (p + sqrt(D)) / q expressed over sqrt(d)
-    root_coeff = 2 if order.d % 4 != 1 else 1
-    return _element(order.d, Fraction(p, q), Fraction(root_coeff, q))
-
-
 def _quotient_product(order: QuadOrder, p: int, q: int) -> QuadElement:
     """The product of the complete quotients (p_i + sqrt(D)) / q_i of the states
     after (p, q), up to the first with q_i = 2, which only a principal class
     reaches: (q/2) / product then generates the ideal of (p, q), and from the
-    unit ideal's (tr w, 2) the product is the fundamental unit."""
-    product = _element(order.d, 1)
+    unit ideal's (tr w, 2) the product is the fundamental unit.  It is kept as
+    integers (x + y sqrt(D)) / z and becomes an element once, at the end."""
+    x, y, z = 1, 0, 1
     for _ in range(_MAX_STEPS):
         p, q = _cf_step(order, p, q)
-        product = product * _theta(order, p, q)
-        if q == 2:
-            return product
+        x, y, z = x * p + order.disc * y, x + p * y, z * q
+        if q == 2:  # sqrt(D) = sqrt(d), or 2 sqrt(d) when D = 4d
+            return _from_ints(order.d, x, y if order.disc == order.d else 2 * y, z)
     raise ResourceLimitError("continued-fraction walk failed to reach the unit ideal")
 
 

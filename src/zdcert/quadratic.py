@@ -1,4 +1,9 @@
-"""Exact elements a + b*sqrt(d) of a quadratic field, with rational coordinates."""
+"""Exact elements a + b*sqrt(d) of a quadratic field, with rational coordinates.
+
+The coordinates a and b are stored as Fractions; products, quotients, norms, traces
+and the integrality test run on the integer numerators x, y over one denominator z
+(a = x/z, b = y/z), building each result's Fractions once (Cohen, GTM 138, 4.2).
+"""
 
 from __future__ import annotations
 
@@ -173,11 +178,9 @@ class QuadElement(_Value):
         if not isinstance(other, QuadElement):
             return NotImplemented
         self._same_field(other)
-        return _element(
-            self.d,
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        x1, y1, z1 = _over_one_denominator(self)
+        x2, y2, z2 = _over_one_denominator(other)
+        return _from_ints(self.d, x1 * x2 + self.d * y1 * y2, x1 * y2 + y1 * x2, z1 * z2)
 
     __rmul__ = __mul__
 
@@ -187,10 +190,13 @@ class QuadElement(_Value):
         if not isinstance(other, QuadElement):
             return NotImplemented
         self._same_field(other)
-        n = other.norm()
+        # self / other = self * conj(other) / N(other), and N(other) = n / z2^2
+        x1, y1, z1 = _over_one_denominator(self)
+        x2, y2, z2 = _over_one_denominator(other)
+        n = x2 * x2 - self.d * y2 * y2
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic element")
-        return self * other.conjugate() / n
+        return _from_ints(self.d, (x1 * x2 - self.d * y1 * y2) * z2, (y1 * x2 - x1 * y2) * z2, z1 * n)
 
     def __pow__(self, n: int) -> "QuadElement":
         if n < 0:
@@ -201,20 +207,19 @@ class QuadElement(_Value):
         return _element(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.d * self.b * self.b
+        x, y, z = _over_one_denominator(self)
+        return Fraction(x * x - self.d * y * y, z * z)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.a.numerator, self.a.denominator)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def is_integral(self) -> bool:
-        """True iff the element lies in the maximal order of Q(sqrt(d))."""
-        if self.d % 4 == 1:
-            x, y = 2 * self.a, 2 * self.b
-            return x.denominator == 1 and y.denominator == 1 and (x - y) % 2 == 0
-        return self.a.denominator == 1 and self.b.denominator == 1
+        """True iff the element lies in the maximal order: a, b in Z, or in 1/2 + Z if d = 1 mod 4."""
+        x, y, z = _over_one_denominator(self)
+        return z == 1 or z == 2 and self.d % 4 == 1 and x % 2 == 1 == y % 2
 
     def __str__(self) -> str:
         return _terms_text([(self.a, ""), (self.b, _root_text(self.d))])
@@ -248,8 +253,8 @@ def _root_text(d: int) -> str:
 
 def _set_coords(x: QuadElement, d: int, a: Rat, b: Rat) -> None:
     object.__setattr__(x, "d", d)
-    object.__setattr__(x, "a", Fraction(a))
-    object.__setattr__(x, "b", Fraction(b))
+    object.__setattr__(x, "a", a if a.__class__ is Fraction else Fraction(a))
+    object.__setattr__(x, "b", b if b.__class__ is Fraction else Fraction(b))
 
 
 def _element(d: int, a: Rat, b: Rat = 0) -> QuadElement:
@@ -257,6 +262,20 @@ def _element(d: int, a: Rat, b: Rat = 0) -> QuadElement:
     x = object.__new__(QuadElement)
     _set_coords(x, d, a, b)
     return x
+
+
+def _over_one_denominator(x: QuadElement) -> tuple[int, int, int]:
+    """Integers (x, y, z), z > 0, with x's coordinates a = x/z and b = y/z."""
+    a, b = x.a, x.b
+    q, r = a.denominator, b.denominator
+    if q == r:
+        return a.numerator, b.numerator, q
+    return a.numerator * r, b.numerator * q, q * r
+
+
+def _from_ints(d: int, x: int, y: int, z: int) -> QuadElement:
+    """The element (x + y*sqrt(d)) / z of a validated d, for integers x, y and z != 0."""
+    return _element(d, Fraction(x, z), Fraction(y, z))
 
 
 def exact_isqrt(n: int) -> int | None:

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
 from .polynomials import IntPoly, is_rational_square
-from .quadratic import QuadElement, _Value, exact_isqrt, is_prime, prime_divisors
+from .quadratic import QuadElement, _Value, _over_one_denominator, exact_isqrt, is_prime, prime_divisors
 
 
 class WeilQuartic(_Value):
@@ -65,7 +65,9 @@ def _trace_and_norm(a_p: QuadElement, p: int) -> tuple[int, int]:
     """(t, n) of a real quadratic a_p, checked integral and inside the Weil bound."""
     if not a_p.is_integral():
         raise InvalidEigenvalueError(f"a_{p} = {a_p} is not an algebraic integer")
-    t, n = int(a_p.trace()), int(a_p.norm())
+    # integral, so a = x/z and b = y/z with z = 1, or z = 2 when d = 1 mod 4
+    x, y, z = _over_one_denominator(a_p)
+    t, n = 2 * x // z, (x * x - a_p.d * y * y) // (z * z)
     # r^2 - 4p <= 0 at both conjugates r iff their sum t^2 - 2n - 8p is <= 0 and their
     # product N is >= 0 (N = 0 on the bound, as for a_p = 2 sqrt(p))
     if t * t - 2 * n > 8 * p or _weil_cofactor(p, t, n) < 0:
@@ -306,5 +308,5 @@ class NewformDatum(_Value):
         in Computational Algebraic Number Theory, 5.2), 0 when every a_p is rational.
         """
         scale = 2 if self.hecke_field_d % 4 == 1 else 1
-        return gcd(*(int(scale * a_p.b) for a_p in self.eigenvalues.values()))
+        return gcd(*(scale * a_p.b.numerator // a_p.b.denominator for a_p in self.eigenvalues.values()))
 

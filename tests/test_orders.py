@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -604,6 +604,77 @@ def pell_fundamental(d: int) -> QuadElement:
 def test_fundamental_unit_matches_pell_oracle():
     for d in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 33, 62):
         assert fundamental_unit(maximal_order(d)) == pell_fundamental(d), d
+
+
+def unit_by_fraction_walk(order) -> tuple[Fraction, Fraction]:
+    """Test-local oracle: the coordinates (a, b) of the product of the complete quotients
+    (p + sqrt(D)) / q = p/q + (c/q) sqrt(d), c = 1 or 2, of the continued fraction of w,
+    multiplied in Fraction coordinates, from the unit ideal's (tr w, 2) up to the next
+    state with q = 2."""
+    disc, d = order.disc, order.d
+    c, s = (1 if d % 4 == 1 else 2), isqrt(disc)
+    p, q = order.omega_trace, 2
+    a, b = Fraction(1), Fraction(0)
+    while True:
+        k = (p + s) // q if q > 0 else -((p + s) // -q) - 1  # floor((p + sqrt(D)) / q)
+        p = k * q - p
+        q = (disc - p * p) // q
+        ta, tb = Fraction(p, q), Fraction(c, q)
+        a, b = a * ta + d * b * tb, a * tb + b * ta
+        if q == 2:
+            return a, b
+
+
+def test_fundamental_unit_matches_the_fraction_walk():
+    fields = [d for d in range(2, 2001) if is_squarefree(d)] + [999961, 999983]
+    for d in fields:
+        unit = fundamental_unit(maximal_order(d))
+        assert (unit.a, unit.b) == unit_by_fraction_walk(maximal_order(d)), d
+        assert type(unit.a) is Fraction and type(unit.b) is Fraction
+    assert len(fields) == 1216
+
+
+def test_fundamental_unit_makes_no_element_products(monkeypatch):
+    # the walk multiplies complete quotients as integers and builds one element at the end
+    muls = 0
+    multiply = QuadElement.__mul__
+
+    def counting(self, other):
+        nonlocal muls
+        muls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(QuadElement, "__mul__", counting)
+    unit = fundamental_unit(maximal_order(999961))
+    assert muls == 0 and abs(unit.norm()) == 1
+
+
+def principal_ideal_by_fractions(order, alpha):
+    """Test-local copy of the Fraction version of principal_ideal: the coordinates
+    of alpha over (1, w), their content gcd(numerators) / lcm(denominators), and the
+    ideal of the primitive part."""
+    x, y = (alpha.a - alpha.b, 2 * alpha.b) if order.d % 4 == 1 else (alpha.a, alpha.b)
+    content = Fraction(gcd(x.numerator, y.numerator), lcm(x.denominator, y.denominator))
+    x, y = int(x / content), int(y / content)
+    a = abs(x * x + order.omega_trace * x * y + order.omega_norm * y * y)
+    return FracIdeal(order, a, x * pow(y, -1, a), content)
+
+
+def test_principal_ideal_matches_the_fraction_version():
+    rng = random.Random(20261021)
+    # both signs of d, and d = 1 and d != 1 mod 4 for each
+    for d in (-7, -5, -3, -1, 2, 3, 5, 10, 13, 17, 21, 79, -23, -10):
+        order = maximal_order(d)
+        for _ in range(300):
+            alpha = QuadElement(d, Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
+                                Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+            if alpha.is_zero():
+                continue
+            expected = (alpha.a - alpha.b, 2 * alpha.b) if d % 4 == 1 else (alpha.a, alpha.b)
+            assert order.to_coords(alpha) == expected
+            assert principal_ideal(order, alpha) == principal_ideal_by_fractions(order, alpha), (d, alpha)
+    with pytest.raises(MismatchError, match=r"^element of Q\(sqrt\(3\)\) used with order of Q\(sqrt\(10\)\)$"):
+        principal_ideal(O10, QuadElement(3, 1, 1))
 
 
 def test_fundamental_unit_minimality_brute_force_box():

@@ -116,6 +116,54 @@ def test_division_and_inverse():
         QuadElement(10, 1) / QuadElement(10, 0, 0)
 
 
+KERNEL_FIELDS = (-7, -5, -3, -1, 2, 3, 5, 10, 13, 17, 21, 999983)
+
+
+def _small_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+
+def test_integer_kernels_match_fraction_formulas():
+    # products, quotients, norms and traces run on integers over one denominator;
+    # the oracle is the textbook formula in Fraction arithmetic on the coordinates
+    rng = random.Random(20261020)
+    quotients = 0
+    for d in KERNEL_FIELDS:
+        for _ in range(400):
+            a1, b1, a2, b2 = (_small_fraction(rng) for _ in range(4))
+            x, y = QuadElement(d, a1, b1), QuadElement(d, a2, b2)
+            results = [(x * y, a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)]
+            n = a2 * a2 - d * b2 * b2
+            if n:
+                quotients += 1
+                results.append((x / y, (a1 * a2 - d * b1 * b2) / n, (b1 * a2 - a1 * b2) / n))
+            for z, a, b in results:
+                assert (z.d, z.a, z.b) == (d, a, b), (x, y)
+                assert type(z.a) is Fraction and type(z.b) is Fraction
+            # integer coordinates and operands are stored as Fractions too
+            for z in (QuadElement(d, a1.numerator, b1.numerator), x * a1.numerator, x / a2.denominator):
+                assert type(z.a) is Fraction and type(z.b) is Fraction
+            norm, trace = x.norm(), x.trace()
+            assert norm == a1 * a1 - d * b1 * b1 and type(norm) is Fraction
+            assert trace == 2 * a1 and type(trace) is Fraction
+    assert quotients > 4700  # only y = 0 has norm 0
+
+
+def test_division_by_zero_element_keeps_its_message():
+    for d in KERNEL_FIELDS:
+        with pytest.raises(ZeroDivisionError, match="^division by zero quadratic element$"):
+            QuadElement(d, Fraction(3, 7), -2) / QuadElement(d, 0, Fraction(0, 5))
+
+
+def test_integrality_matches_the_coordinate_rule():
+    # integral: a, b in Z, or for d = 1 mod 4 also a, b both in 1/2 + Z
+    for d in KERNEL_FIELDS:
+        for a, b in itertools.product([Fraction(n, q) for n in range(-7, 8) for q in (1, 2, 3, 4)], repeat=2):
+            halves = (2 * a).denominator == (2 * b).denominator == 1 and (a - b).denominator == 1
+            expected = a.denominator == b.denominator == 1 or d % 4 == 1 and halves
+            assert QuadElement(d, a, b).is_integral() == expected, (d, a, b)
+
+
 def test_integrality():
     assert QuadElement(10, 3, -2).is_integral()
     assert not QuadElement(10, Fraction(1, 2), 0).is_integral()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -103,6 +104,22 @@ def test_norm_form_passes_the_checks_frobenius_charpoly_skips():
                     assert WeilQuartic(quartic.p, quartic.poly) == quartic
                     built += 1
     assert built > 500
+
+
+def test_trace_and_norm_match_the_fraction_formulas():
+    # _trace_and_norm reads t and n from the integer numerators once a_p is integral
+    checked = 0
+    for d in (2, 3, 5, 10, 13, 21):
+        for a, b in itertools.product([Fraction(n, 2) for n in range(-24, 25)], repeat=2):
+            a_p = QuadElement(d, a, b)
+            if not a_p.is_integral():
+                with pytest.raises(InvalidEigenvalueError, match="is not an algebraic integer"):
+                    weil._trace_and_norm(a_p, 10007)
+                continue
+            t, n = weil._trace_and_norm(a_p, 10007)
+            assert (t, n) == (2 * a, a * a - d * b * b) and type(t) is int and type(n) is int
+            checked += 1
+    assert checked == 3 * 25 * 25 + 3 * (25 * 25 + 24 * 24)  # integer pairs, and half-odd pairs for d = 1 mod 4
 
 
 def test_integer_weil_bound_matches_the_embedding_signs():
