@@ -50,9 +50,9 @@ ASSUMED = "assumed-by-citation"
 
 BASE_TAG = "A"
 
-# size caps of parse_input, checked before any trial division: the level is
-# factored by trial division up to its square root, so 10^12 keeps that within
-# 10^6 steps; the eigenvalue primes share the bound, far inside is_prime's proven
+# size caps of parse_input, checked before any trial division: the level is never
+# factored, only reduced mod each eigenvalue prime and printed, and 10^12 keeps it
+# a 13-digit integer; the eigenvalue primes share the bound, far inside is_prime's proven
 # range, and it keeps the stability sweep's integers small: every root has absolute
 # value sqrt(p), so the largest, squares in weil._is_square_in at n = 12, stay
 # below 2^11 p^24 (2 * DEFAULT_STABILITY_BOUND * log2(p) + 11 bits, under 970)
@@ -457,8 +457,8 @@ def _check_steinitz_squares(run: _Run, check: Check) -> str | None:
 def _check_dimension(run: _Run, check: Check) -> str | None:
     datum = run.inp.datum
     check.inputs["expected_dim"] = datum.expected_dim
-    # the eigenvalues generate Q(√d) iff one of them has a nonzero √d part
-    degree = 2 if any(a_p.b != 0 for a_p in datum.eigenvalues.values()) else 1
+    # the eigenvalues generate Q(√d) iff one has a nonzero √d part, iff their conductor is nonzero
+    degree = 2 if datum.hecke_conductor else 1
     check.outputs["hecke_field_degree"] = degree
     if datum.expected_dim != degree:
         return f"declared dimension {datum.expected_dim} != field degree {degree}"

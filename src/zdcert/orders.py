@@ -188,20 +188,12 @@ def principal_ideal(order: QuadOrder, alpha: QuadElement) -> FracIdeal:
 # ---------------------------------------------------------------------------
 
 
-def _floor_quadratic(p: int, q: int, d: int) -> int:
-    """floor((p + sqrt(d)) / q) for nonsquare d > 0 and q != 0."""
-    s = isqrt(d)
-    if q > 0:
-        return (p + s) // q
-    return -((p + s) // -q) - 1
-
-
-def _cf_step(order: QuadOrder, p: int, q: int) -> tuple[int, int]:
-    dd = order.disc
-    a = _floor_quadratic(p, q, dd)
+def _cf_step(p: int, q: int, disc: int, root: int) -> tuple[int, int]:
+    """The state after (p, q): a = floor((p + sqrt(disc)) / q), p' = a q - p and
+    q' = (disc - p'^2) / q, for a nonsquare disc > 0 with root = isqrt(disc) and q != 0."""
+    a = (p + root) // q if q > 0 else -((p + root) // -q) - 1
     p1 = a * q - p
-    q1 = (dd - p1 * p1) // q
-    return p1, q1
+    return p1, (disc - p1 * p1) // q
 
 
 def _quotient_product(order: QuadOrder, p: int, q: int) -> QuadElement:
@@ -211,11 +203,12 @@ def _quotient_product(order: QuadOrder, p: int, q: int) -> QuadElement:
     unit ideal's (tr w, 2) the product is the fundamental unit.  It is kept as
     integers (x + y sqrt(D)) / z and becomes an element once, at the end."""
     x, y, z = 1, 0, 1
+    disc, root = order.disc, isqrt(order.disc)
     for _ in range(_MAX_STEPS):
-        p, q = _cf_step(order, p, q)
-        x, y, z = x * p + order.disc * y, x + p * y, z * q
+        p, q = _cf_step(p, q, disc, root)
+        x, y, z = x * p + disc * y, x + p * y, z * q
         if q == 2:  # sqrt(D) = sqrt(d), or 2 sqrt(d) when D = 4d
-            return _from_ints(order.d, x, y if order.disc == order.d else 2 * y, z)
+            return _from_ints(order.d, x, y if disc == order.d else 2 * y, z)
     raise ResourceLimitError("continued-fraction walk failed to reach the unit ideal")
 
 
@@ -333,13 +326,14 @@ def _reduced(order: QuadOrder, form: tuple[int, int], seen: dict) -> tuple[int, 
     a, b = form
     if not order.is_real:
         return _reduce_form(a, b, order.disc)[:2]
+    disc, root = order.disc, isqrt(order.disc)
     state = (b % (2 * a), 2 * a)
     path: dict[tuple[int, int], int] = {}
     while state not in seen and state not in path:
         if len(path) > _MAX_STEPS:
             raise ResourceLimitError("reduction orbit failed to close")
         path[state] = len(path)
-        state = _cf_step(order, *state)
+        state = _cf_step(*state, disc, root)
     rep = seen.get(state)
     if rep is None:
         rep = min((q // 2, p % q) for p, q in islice(path, path[state], None))

@@ -156,7 +156,5 @@ def discriminant(f: IntPoly) -> int:
 
 def is_rational_square(q: int | Fraction) -> bool:
     """True iff q is the square of a rational; zero counts, negatives do not."""
-    q = Fraction(q)
-    if q < 0:
-        return False
+    q = Fraction(q)  # a negative q has a negative numerator, which exact_isqrt refuses
     return exact_isqrt(q.numerator) is not None and exact_isqrt(q.denominator) is not None

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
 from .polynomials import IntPoly, is_rational_square
-from .quadratic import QuadElement, _Value, _over_one_denominator, exact_isqrt, is_prime, prime_divisors
+from .quadratic import QuadElement, _Value, _over_one_denominator, exact_isqrt, is_prime
 
 
 class WeilQuartic(_Value):
@@ -170,10 +170,10 @@ def endomorphism_stability(quartic: WeilQuartic, bound: int = DEFAULT_STABILITY_
     """
     if bound < 2:
         raise ValueError("stability bound must be at least 2")
-    if not is_irreducible(quartic):
-        raise ValueError("stability requires an irreducible Weil quartic")
     p = quartic.p
     t, disc, _ = quartic.factor_data()
+    if not _has_degree_4(t, disc, p):
+        raise ValueError("stability requires an irreducible Weil quartic")
     u0, v0, u, v, q = 4, 0, t, 1, p  # alpha_(n-1), alpha_n and p^n at n = 1
     degrees = []
     for n in range(2, bound + 1):
@@ -192,10 +192,10 @@ def distinct_fields_certificate(q1: WeilQuartic, q2: WeilQuartic) -> str:
     an irreducible quartic, the ratio is a square iff N1 * N2 is.
     One-sided: a square ratio never certifies that the fields agree.
     """
-    for q in (q1, q2):
-        if not is_irreducible(q):
-            raise ValueError("distinctness test requires irreducible quartics")
-    square = is_rational_square(q1.factor_data()[2] * q2.factor_data()[2])
+    (t1, disc1, n1), (t2, disc2, n2) = q1.factor_data(), q2.factor_data()
+    if not (_has_degree_4(t1, disc1, q1.p) and _has_degree_4(t2, disc2, q2.p)):
+        raise ValueError("distinctness test requires irreducible quartics")
+    square = is_rational_square(n1 * n2)
     return "distinct" if not square else "inconclusive"
 
 
@@ -271,17 +271,16 @@ class NewformDatum(_Value):
     """Weight-2 newform data: level, quadratic Hecke field, a_p eigenvalues.
 
     Eigenvalues are trusted published data; validation checks only that each
-    prime has good reduction and each eigenvalue respects the Weil bound.
-    bad_primes, the primes dividing the level, is computed.
+    prime has good reduction (it does not divide the level; the level itself is
+    never factored) and each eigenvalue respects the Weil bound.
     """
 
-    __slots__ = ("level", "hecke_field_d", "expected_dim", "eigenvalues", "bad_primes")
+    __slots__ = ("level", "hecke_field_d", "expected_dim", "eigenvalues")
 
     def __init__(self, level: int, hecke_field_d: int, expected_dim: int,
                  eigenvalues: dict[int, QuadElement]):
         if level < 1:
             raise ValueError("level must be a positive integer")
-        bad = frozenset(prime_divisors(level))
         if expected_dim < 1:
             raise ValueError("expected dimension must be positive")
         if hecke_field_d <= 1:
@@ -289,12 +288,12 @@ class NewformDatum(_Value):
         for p, a_p in eigenvalues.items():
             if not is_prime(p):
                 raise ValueError(f"eigenvalue index {p} is not prime")
-            if p in bad:
+            if level % p == 0:
                 raise ValueError(f"prime {p} divides the level {level}: no good reduction")
             if a_p.d != hecke_field_d:
                 raise ValueError(f"eigenvalue a_{p} does not lie in Q(sqrt({hecke_field_d}))")
             _trace_and_norm(a_p, p)
-        super().__init__(level, hecke_field_d, expected_dim, eigenvalues, bad)
+        super().__init__(level, hecke_field_d, expected_dim, eigenvalues)
 
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)

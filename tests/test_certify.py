@@ -249,6 +249,48 @@ def test_one_run_builds_each_frobenius_quartic_once(monkeypatch):
     assert calls == [2]
 
 
+def test_one_run_reads_each_quartics_factor_data_once_per_frobenius_call(monkeypatch):
+    # certify_reduction (through is_irreducible), endomorphism_stability and
+    # distinct_fields_certificate each read it once per quartic, their guards included
+    from zdcert.weil import WeilQuartic
+
+    factor_data, calls = WeilQuartic.factor_data, [0]
+
+    def counting(self):
+        calls[0] += 1
+        return factor_data(self)
+
+    monkeypatch.setattr(WeilQuartic, "factor_data", counting)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == [6]
+
+
+def test_one_run_factors_only_the_field_parameter(monkeypatch):
+    # maximal_order's squarefree test factors d; good reduction is level % p, so the
+    # level is never factored
+    from zdcert.quadratic import prime_divisors
+
+    calls = _count_calls(monkeypatch, prime_divisors)
+    assert run_raw(DATASET).verdict == "pass"
+    assert calls == [1]
+
+
+def test_prime_level_just_under_the_cap_parses_without_factoring_and_certifies(monkeypatch):
+    from zdcert.certify import LEVEL_BOUND
+    from zdcert.quadratic import is_prime, prime_divisors
+
+    level = 999999999989  # the largest prime below the cap
+    assert level < LEVEL_BOUND and is_prime(level)
+    assert not any(is_prime(n) for n in range(level + 1, LEVEL_BOUND + 1))
+    calls = _count_calls(monkeypatch, prime_divisors)
+    inp = parse_input(fresh(level=level))
+    assert calls == [1]  # d = 10, in maximal_order
+    cert = run_certificate(inp)
+    assert calls == [1]
+    assert cert.verdict == "pass" and inp.datum.level == level
+    assert [c.verdict for c in cert.computed_checks] == ["pass"] * 10
+
+
 def test_one_run_checks_the_field_parameter_once(monkeypatch):
     # maximal_order(d) checks d; every element over that order's d skips the check
     from zdcert.quadratic import _check_d

@@ -837,9 +837,9 @@ def test_class_group_reduces_one_ideal_per_prime_and_each_state_once(monkeypatch
         reductions += 1
         return reduced(order, form, seen)
 
-    def recording_cf_step(o, p, q):
-        steps.append((p, q))
-        return cf_step(o, p, q)
+    def recording_cf_step(*args):
+        steps.append(args[:2])
+        return cf_step(*args)
 
     monkeypatch.setattr(orders, "_reduced", counting_reduced)
     monkeypatch.setattr(orders, "_cf_step", recording_cf_step)
@@ -864,14 +864,66 @@ def test_class_power_zero_is_the_trivial_class_without_a_cycle_walk(monkeypatch)
     steps = 0
     cf_step = orders._cf_step
 
-    def counting_cf_step(o, p, q):
+    def counting_cf_step(*args):
         nonlocal steps
         steps += 1
-        return cf_step(o, p, q)
+        return cf_step(*args)
 
     monkeypatch.setattr(orders, "_cf_step", counting_cf_step)
     assert g ** 0 == trivial_class(order) == walked
     assert steps == 0
+
+
+def _strictly_between(lo: int, hi: int, disc: int) -> bool:
+    """Whether lo < sqrt(disc) < hi, for a nonsquare disc > 0, by comparing squares."""
+    return (lo < 0 or lo * lo < disc) and hi > 0 and hi * hi > disc
+
+
+def test_cf_step_matches_the_square_comparison_oracle():
+    # seeded states (p, q) with q | D - p^2, of both signs of q, over fundamental
+    # discriminants D = d (d = 1 mod 4) and D = 4d up to 4*10^6
+    from zdcert.orders import _cf_step
+
+    rng = random.Random(27)
+    kinds, signs = set(), set()
+    for _ in range(600):
+        d = rng.randint(2, 4 * 10 ** rng.randint(0, 6))
+        disc = d if d % 4 == 1 else 4 * d
+        if disc > 4 * 10**6 or not is_squarefree(d):
+            continue
+        p = rng.randint(-4000, 4000)
+        m = abs(disc - p * p)
+        divisors = [f for f in range(1, isqrt(m) + 1) if m % f == 0]
+        q = rng.choice(divisors + [m // f for f in divisors]) * rng.choice((1, -1))
+        kinds.add(disc % 4)
+        signs.add(q > 0)
+        p1, q1 = _cf_step(p, q, disc, isqrt(disc))
+        assert q * q1 == disc - p1 * p1, (disc, p, q)
+        assert (p + p1) % q == 0, (disc, p, q)
+        # a = (p + p1)/q has a <= (p + sqrt D)/q < a + 1 iff sqrt D lies strictly (D is
+        # not a square) between a q - p = p1 and (a + 1) q - p = p1 + q
+        assert _strictly_between(min(p1, p1 + q), max(p1, p1 + q), disc), (disc, p, q)
+    assert kinds == {0, 1} and signs == {True, False}
+
+
+def test_cf_walks_take_the_root_of_the_discriminant_once(monkeypatch):
+    # isqrt(D) once per walk, not once per step: taken per step, the counts would be
+    # at least the 278 and 647 steps of these two walks
+    from zdcert import orders
+
+    counts = dict.fromkeys(("isqrt", "_cf_step"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(orders, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(orders, name, counting)
+    for d, walk in ((19999, class_group), (999961, fundamental_unit)):
+        order = maximal_order(d)
+        counts.update(isqrt=0, _cf_step=0)
+        walk(order)
+        assert 0 < counts["isqrt"] < counts["_cf_step"], (d, counts)
+    assert counts["isqrt"] == 1  # the unit's one walk
 
 
 def test_trivial_class_and_inverse():

@@ -3,7 +3,8 @@
 Each value class compares and hashes by its field tuple, only against its own
 class; it takes no assignment, deletion or new attribute, has no __dict__, and
 prints as Name(field=value, ...).  The expected repr strings were printed by the
-earlier dataclass versions of these classes.
+earlier dataclass versions of these classes, except DATUM_REPR: NewformDatum no
+longer factors its level, so it has lost the dataclass era's bad_primes field.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ CLASS_REPR = f"IdealClass(rep=FracIdeal(order={ORDER_REPR}, a=2, b=0, scale=Frac
 QUARTIC_REPR = "WeilQuartic(p=17, poly=IntPoly(coeffs=(289, -136, 40, -8, 1)))"
 DATUM_REPR = ("NewformDatum(level=276, hecke_field_d=10, expected_dim=2, eigenvalues={"
               "17: QuadElement(d=10, a=Fraction(4, 1), b=Fraction(-1, 1)), "
-              "19: QuadElement(d=10, a=Fraction(2, 1), b=Fraction(1, 1))}, bad_primes=frozenset({2, 3, 23}))")
+              "19: QuadElement(d=10, a=Fraction(2, 1), b=Fraction(1, 1))})")
 
 
 def _order():

@@ -488,7 +488,9 @@ def test_stability_lucas_sequence_matches_power_sums_random():
 
 def test_newform_datum_validation():
     datum = NewformDatum(276, 10, 2, {17: EIGEN_17, 19: EIGEN_19})
-    assert datum.bad_primes == {2, 3, 23}
+    for p in (2, 3, 23):  # good reduction is level % p != 0; the level is not factored
+        with pytest.raises(ValueError, match=f"^prime {p} divides the level 276: no good reduction$"):
+            NewformDatum(276, 10, 2, {p: QuadElement(10, 0, 0)})
     assert datum.good_primes() == [17, 19]
     with pytest.raises(ValueError):
         NewformDatum(276, 10, 2, {23: QuadElement(10, 1, 1)})  # 23 divides 276
