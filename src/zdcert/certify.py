@@ -117,14 +117,25 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        out: list[str] = []
-        _write_json(self.to_dict(), out, "\n")
-        out.append("\n")
-        return "".join(out)
+        """json.dumps(self.to_dict(), indent=2, sort_keys=True) and a newline, the same bytes,
+        joined from each row's frame (built at import for every row of the check tables)
+        and the run's values; to_dict is not built."""
+        rows = []
+        for c in self.checks:
+            frame = _FRAMES.get((c.name, c.citation, c.provenance)) or _frame(c.name, c.citation, c.provenance)
+            head, inputs, outputs, verdict, tail = frame
+            rows.append(f"{head}{_json(c.claim, _ROW)}{inputs}{_json(c.inputs, _ROW)}"
+                        f"{outputs}{_json(c.outputs, _ROW)}{verdict}{_json(c.verdict, _ROW)}{tail}")
+        checks = f"[{_CHECK}{f',{_CHECK}'.join(rows)}\n  ]" if rows else "[]"
+        return (f'{{\n  "checks": {checks},\n  "generated_at": {_json(self.generated_at, _TOP)},'
+                f'\n  "input": {_json(self.input_echo, _TOP)},'
+                f'\n  "parameters": {_json(self.parameters, _TOP)},'
+                f'\n  "verdict": {_quote(self.verdict)}\n}}\n')
 
     def render_text(self) -> str:
+        computed = self.computed_checks
         lines = []
-        for i, c in enumerate(self.computed_checks, 1):
+        for i, c in enumerate(computed, 1):
             mark = "PASS" if c.verdict == "pass" else "FAIL"
             lines.append(f"[{i:2d}] {mark}  {c.name}: {c.claim}")
             if c.verdict != "pass" and c.outputs.get("detail"):
@@ -134,66 +145,74 @@ class Certificate:
         for c in self.assumed_checks:
             lines.append(f"  - {c.name}: {c.claim} [{c.citation}]")
         lines.append("")
-        n_pass = sum(1 for c in self.computed_checks if c.verdict == "pass")
-        lines.append(
-            f"OVERALL: {self.verdict.upper()} "
-            f"({n_pass}/{len(self.computed_checks)} computed checks pass)"
-        )
+        n_pass = sum(1 for c in computed if c.verdict == "pass")
+        verdict = "PASS" if n_pass == len(computed) else "FAIL"
+        lines.append(f"OVERALL: {verdict} ({n_pass}/{len(computed)} computed checks pass)")
         return "\n".join(lines)
 
 
-def _write_json(value, out: list[str], newline: str) -> None:
-    """Append json.dumps(value, indent=2, sort_keys=True) to out, as nested under newline
-    (a newline and the enclosing indent): the same bytes, without json's pure-Python
-    encoder, which is what indent selects.  Dict keys must be strings.  Containers come
-    first, and write a child of the exact type str or int inline, without a call."""
+def _json(value, newline: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), as nested under newline (a newline and
+    the enclosing indent): the same bytes, without json's pure-Python encoder, which is
+    what indent selects.  Dict keys must be strings: the string encoder raises TypeError on
+    any other.  A dict writes a member of the exact type str, int or bool without a call
+    (an f-string formats an int as its repr), and a list of plain ints is one join."""
+    cls = value.__class__
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
     if isinstance(value, dict):
+        if not value:
+            return "{}"
         inner = newline + "  "
-        sep = "{" + inner  # before the first child; an empty dict writes only "{}"
+        items = []
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            item, head = value[key], sep + _quote(key) + ": "
-            if item.__class__ is str:
-                out.append(head + _quote(item))
-            elif item.__class__ is int:
-                out.append(head + int.__repr__(item))
-            else:
-                out.append(head)
-                _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
+            item = value[key]
+            cls = item.__class__
+            text = (_quote(item) if cls is str else item if cls is int
+                    else ("true" if item else "false") if cls is bool else _json(item, inner))
+            items.append(f"{_quote(key)}: {text}")
+        return f"{{{inner}{f',{inner}'.join(items)}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
         inner = newline + "  "
-        sep = "[" + inner  # before the first child; an empty list writes only "[]"
-        for item in value:
-            if item.__class__ is str:
-                out.append(sep + _quote(item))
-            elif item.__class__ is int:
-                out.append(sep + int.__repr__(item))
-            else:
-                out.append(sep)
-                _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]" if value else "[]")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if all(item.__class__ is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(item, inner) for item in value]
+        return f"[{inner}{f',{inner}'.join(items)}{newline}]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return "NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # json's names for the infinite floats; it writes NaN as NaN
 _INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+# what precedes a member of the certificate, a check row in its list, and a member of a row
+_TOP, _CHECK, _ROW = "\n  ", "\n    ", "\n      "
+
+
+def _frame(name, citation, provenance) -> tuple[str, str, str, str, str]:
+    """The JSON text of a check row around its per-run members claim, inputs, outputs and
+    verdict: five pieces, holding the row's braces, its keys and its fixed members."""
+    return (f'{{{_ROW}"citation": {_json(citation, _ROW)},{_ROW}"claim": ',
+            f',{_ROW}"inputs": ',
+            f',{_ROW}"name": {_json(name, _ROW)},{_ROW}"outputs": ',
+            f',{_ROW}"provenance": {_json(provenance, _ROW)},{_ROW}"verdict": ',
+            f"{_CHECK}}}")
 
 
 class VerificationInput(_Value):
@@ -550,6 +569,11 @@ _ASSUMED = (
      "published modular-form tables"),
 )
 
+# the frame of every row above, keyed by what it is built from; a hand-built row gets its own
+_FRAMES = {(name, citation, provenance): _frame(name, citation, provenance)
+           for rows, provenance in ((_CHECKS, COMPUTED), (_ASSUMED, ASSUMED))
+           for name, _, citation, *_ in rows}
+
 
 def run_certificate(inp: VerificationInput) -> Certificate:
     """Run the checks of _CHECKS in order; every check lands in the certificate, pass or fail."""
@@ -560,7 +584,8 @@ def run_certificate(inp: VerificationInput) -> Certificate:
     fields = dict(d=order.d, p1=p1, p2=p2, level=datum.level, reference=reference)
     checks: list[Check] = []
     for name, claim, citation, body in _CHECKS:
-        check = Check(name, claim.format(**fields), citation, COMPUTED)
+        # a claim without a placeholder is kept as it is: 10 of the 16 are
+        check = Check(name, claim.format(**fields) if "{" in claim else claim, citation, COMPUTED)
         try:
             detail = body(run, check)
         except (ValueError, ArithmeticError) as exc:
@@ -569,7 +594,7 @@ def run_certificate(inp: VerificationInput) -> Certificate:
         if detail is not None:
             check.outputs["detail"] = detail
         checks.append(check)
-    checks.extend(Check(name, claim.format(**fields), citation, ASSUMED)
+    checks.extend(Check(name, claim.format(**fields) if "{" in claim else claim, citation, ASSUMED)
                   for name, claim, citation in _ASSUMED)
 
     parameters = {"stability_bound": DEFAULT_STABILITY_BOUND, "base_tag": BASE_TAG}

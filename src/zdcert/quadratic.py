@@ -105,10 +105,8 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        # the field tuple of an instance: attrgetter of one name gives the bare value
-        get = attrgetter(*names) if len(names) > 1 else lambda x, name=names[0]: (getattr(x, name),)
-        cls._fields = staticmethod(get)
+        # what equality and hash compare: the field tuple, or the bare field of a one-slot class
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):

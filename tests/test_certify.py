@@ -368,25 +368,62 @@ def test_one_run_hashes_no_class_chain_and_validates_only_input_ideals(monkeypat
     {"b": (None, True, False), "a": [float("nan"), float("-inf")], "B": {"z": 1, "Z": 2}},
 ])
 def test_json_writer_matches_json_dumps(value):
-    from zdcert.certify import _write_json
+    from zdcert.certify import _json
 
-    out = []
-    _write_json(value, out, "\n")
-    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+    assert _json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x", {1: "integer key"}, [object()]])
 def test_json_writer_refuses_what_json_loads_cannot_return(value):
-    from zdcert.certify import _write_json
+    from zdcert.certify import _json
 
     with pytest.raises(TypeError):
-        _write_json(value, [], "\n")
+        _json(value, "\n")
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
 def test_to_json_equals_json_dumps_of_to_dict(path):
     cert = run_raw(json.loads(path.read_text())["input"])
     assert cert.to_json() == json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name,path,value", [m[:3] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS])
+def test_to_json_equals_json_dumps_of_to_dict_on_failing_certificates(name, path, value):
+    cert = run_raw(_mutate(DATASET, path, value))
+    assert cert.verdict == "fail" and any("detail" in c.outputs for c in cert.checks)
+    assert cert.to_json() == json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_to_json_writes_a_hand_built_row_like_json_dumps():
+    from zdcert.certify import _FRAMES, Certificate, Check
+
+    frames = dict(_FRAMES)
+    checks = [
+        Check("made_up", "a claim with \"quotes\" and √2", "no citation", "computed",
+              inputs={"x": 0.5, "nan": float("nan"), "pair": (1, (2.5, "y")), "empty": ()},
+              outputs={"inf": [float("-inf")], "flags": [True, None]}, verdict="fail"),
+        Check("class_group", "its name is in the table, its citation is not", "another citation",
+              "assumed-by-citation"),
+    ]
+    cert = Certificate({"level": 1.5, "list": (3, 4)}, {}, checks, "then")
+    assert cert.to_json() == json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert _FRAMES == frames
+    empty = Certificate({}, {}, [], "never")
+    assert empty.to_json() == json.dumps(empty.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_frame_table_has_one_entry_per_row_and_never_grows():
+    from zdcert.certify import _ASSUMED, _CHECKS, _FRAMES, ASSUMED, COMPUTED
+
+    rows = {(name, citation, COMPUTED) for name, _, citation, _ in _CHECKS}
+    rows |= {(name, citation, ASSUMED) for name, _, citation in _ASSUMED}
+    assert len(rows) == len(_CHECKS) + len(_ASSUMED) == len(_FRAMES)
+    assert set(_FRAMES) == rows
+    inputs = [DATASET] + [_mutate(DATASET, path, value) for _, path, value, _ in MUTATIONS]
+    for i in range(50):
+        cert = run_raw(inputs[i % len(inputs)])
+        assert cert.to_json() and cert.render_text()
+        assert len(_FRAMES) == len(rows)
 
 
 def test_golden_charpoly_optional():

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zdcert.certify import VerificationInput, _write_json, load_input, parse_input, run_certificate
+from zdcert.certify import VerificationInput, _json, load_input, parse_input, run_certificate
 from zdcert.cli import bundled_dataset_path
 from zdcert.errors import InputDataError
 
@@ -135,6 +135,4 @@ def test_load_input_on_mutated_file_bytes(tmp_path_factory, data):
 @FUZZ
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
-    out = []
-    _write_json(value, out, "\n")
-    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+    assert _json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)

@@ -1,7 +1,7 @@
 """Value semantics of the immutable classes and the slotted certificate records.
 
-Each value class compares and hashes by its field tuple, only against its own
-class; it takes no assignment, deletion or new attribute, has no __dict__, and
+Each value class compares and hashes by its field tuple (by its one field, if it
+has one slot), only against its own class; it takes no assignment, deletion or new attribute, has no __dict__, and
 prints as Name(field=value, ...).  The expected repr strings were printed by the
 earlier dataclass versions of these classes, except DATUM_REPR: NewformDatum no
 longer factors its level, so it has lost the dataclass era's bad_primes field.
@@ -82,6 +82,12 @@ def _fields(x) -> tuple:
     return tuple(getattr(x, name) for name in type(x).__slots__)
 
 
+def _key(x):
+    """What equality and hash compare: the field tuple, or the bare field of a one-slot class."""
+    fields = _fields(x)
+    return fields[0] if len(fields) == 1 else fields
+
+
 def _hash_or_type_error(x):
     try:
         return hash(x)
@@ -94,14 +100,14 @@ def test_value_semantics(make, expected_repr):
     x, y = make(), make()
     cls = type(x)
     assert x is not y and x == y and not x != y
-    assert _hash_or_type_error(x) == _hash_or_type_error(y) == _hash_or_type_error(_fields(x))
+    assert _hash_or_type_error(x) == _hash_or_type_error(y) == _hash_or_type_error(_key(x))
 
     # a class with the same name and fields, and the bare field tuple, are other classes
     twin = object.__new__(type(cls.__name__, cls.__bases__, {"__slots__": cls.__slots__}))
     for name, value in zip(cls.__slots__, _fields(x)):
         object.__setattr__(twin, name, value)
     assert x != twin and twin != x and not x == twin
-    assert x != _fields(x)
+    assert x != _fields(x) and x != _key(x)
 
     for name in cls.__slots__:
         with pytest.raises(AttributeError):
