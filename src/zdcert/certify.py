@@ -24,22 +24,13 @@ from pathlib import Path
 
 from .errors import DeductionRefused, InputDataError
 from .monoidring import AVMonoid, albanese_image, zero_divisor_witness
-from .orders import (
-    FracIdeal,
-    IdealClass,
-    QuadOrder,
-    _generator_of,
-    class_group,
-    ideal_class,
-    maximal_order,
-)
+from .orders import FracIdeal, QuadOrder, _generator_of, class_group, ideal_class, maximal_order
 from .polynomials import IntPoly
 from .quadratic import CLASS_GROUP_BOUND, QuadElement, _element, _Value
 from .steinitz import AVClass, ModuleClass, class_of_ideal_sum, free_module, tensor_av
 from .weil import (
     DEFAULT_STABILITY_BOUND,
     NewformDatum,
-    ReductionCertificate,
     certify_reduction,
     deduce_endomorphism_ring,
     distinct_fields_certificate,
@@ -323,7 +314,7 @@ def parse_input(raw: dict[str, object]) -> VerificationInput:
 
 def load_input(path: str | Path) -> VerificationInput:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read input file: {exc}", str(path)) from exc
     try:
@@ -338,14 +329,17 @@ def load_input(path: str | Path) -> VerificationInput:
 
 
 class _Run:
-    """One run's input, and what each check stores for the checks after it."""
+    """One run's input, the facts that several checks read, computed once before any
+    check (neither call can fail on parsed input), and what each check stores for the
+    checks after it."""
 
     __slots__ = ("inp", "order", "p1", "p2", "ideal_cls", "certs", "distinctness", "ab")
 
     def __init__(self, inp: VerificationInput, order: QuadOrder, p1: int, p2: int):
         self.inp, self.order, self.p1, self.p2 = inp, order, p1, p2
-        self.ideal_cls: IdealClass | None = None
-        self.certs: dict[int, ReductionCertificate] = {}
+        self.ideal_cls = ideal_class(inp.ideal)  # read by checks 2 and 8
+        eigenvalues = inp.datum.eigenvalues  # the reductions at p1, p2, read by checks 3-7
+        self.certs = {p: certify_reduction(eigenvalues[p], p) for p in (p1, p2)}
         self.distinctness = "inconclusive"
         self.ab: tuple[AVClass, AVClass] | None = None  # set only when check 8 passes
 
@@ -367,10 +361,9 @@ def _check_class_group(run: _Run, check: Check) -> str | None:
 def _check_nonprincipal_ideal(run: _Run, check: Check) -> str | None:
     ideal = run.inp.ideal
     check.inputs["ideal"] = str(ideal)
-    cls = ideal_class(ideal)
+    cls = run.ideal_cls
     gen = _generator_of(ideal) if cls.is_trivial else None
     square_trivial = (cls * cls).is_trivial
-    run.ideal_cls = cls
     check.outputs.update({"principal": gen is not None, "class_square_trivial": square_trivial})
     if gen is not None:
         return f"ideal is principal with generator {gen}"
@@ -387,7 +380,6 @@ def _check_frobenius_charpoly(run: _Run, check: Check) -> str | None:
         "p2": run.p2,
         "a_p2": str(eigenvalues[run.p2]),
     })
-    run.certs = {p: certify_reduction(eigenvalues[p], p) for p in (run.p1, run.p2)}
     q1, q2 = (cert.quartic for cert in run.certs.values())
     check.outputs.update({"charpoly_p1": list(q1.poly.coeffs), "charpoly_p2": list(q2.poly.coeffs)})
     reference = run.inp.golden_charpoly
@@ -397,8 +389,6 @@ def _check_frobenius_charpoly(run: _Run, check: Check) -> str | None:
 
 
 def _check_surface_checks(run: _Run, check: Check) -> str | None:
-    if len(run.certs) < 2:
-        return "no quartics available"
     failures = []
     for p, cert in run.certs.items():
         check.outputs[f"p{p}"] = {
@@ -417,8 +407,8 @@ def _check_power_stability(run: _Run, check: Check) -> str | None:
     check.inputs["bound"] = DEFAULT_STABILITY_BOUND
     failures = []
     for p in (run.p1, run.p2):
-        cert = run.certs.get(p)
-        if cert is None or cert.stability is None:
+        cert = run.certs[p]
+        if cert.stability is None:
             failures.append(f"no stability report at {p} (quartic reducible?)")
             continue
         check.outputs[f"p{p}"] = {
@@ -431,8 +421,6 @@ def _check_power_stability(run: _Run, check: Check) -> str | None:
 
 
 def _check_distinct_fields(run: _Run, check: Check) -> str | None:
-    if len(run.certs) < 2:
-        return "no quartics available"
     run.distinctness = distinct_fields_certificate(*(cert.quartic for cert in run.certs.values()))
     check.outputs["distinctness"] = run.distinctness
     if run.distinctness != "distinct":
@@ -443,7 +431,7 @@ def _check_distinct_fields(run: _Run, check: Check) -> str | None:
 def _check_endomorphism_ring(run: _Run, check: Check) -> str | None:
     try:
         conclusion = deduce_endomorphism_ring(
-            run.order.d, run.certs.get(run.p1), run.certs.get(run.p2), run.distinctness,
+            run.order.d, run.certs[run.p1], run.certs[run.p2], run.distinctness,
             conductor=run.inp.datum.hecke_conductor,
         )
     except DeductionRefused as exc:
@@ -457,8 +445,6 @@ def _check_endomorphism_ring(run: _Run, check: Check) -> str | None:
 def _check_steinitz_squares(run: _Run, check: Check) -> str | None:
     # O + O = I + I, hence A x A = B x B while A != B over the closure
     cls = run.ideal_cls
-    if cls is None:
-        return "no ideal class available"
     free2 = free_module(run.order, 2)
     sum_ii = class_of_ideal_sum([cls, cls])
     check.outputs.update({"class_O_plus_O": str(free2), "class_I_plus_I": str(sum_ii)})

@@ -143,6 +143,8 @@ def _cmd_principal(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a stdout that cannot encode √ prints it as \u221a
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     handlers = {
         "verify": _cmd_verify,

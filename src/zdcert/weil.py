@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DeductionRefused, InvalidEigenvalueError
-from .polynomials import IntPoly, is_rational_square
+from .polynomials import IntPoly
 from .quadratic import QuadElement, _Value, _over_one_denominator, exact_isqrt, is_prime
 
 
@@ -195,8 +195,7 @@ def distinct_fields_certificate(q1: WeilQuartic, q2: WeilQuartic) -> str:
     (t1, disc1, n1), (t2, disc2, n2) = q1.factor_data(), q2.factor_data()
     if not (_has_degree_4(t1, disc1, q1.p) and _has_degree_4(t2, disc2, q2.p)):
         raise ValueError("distinctness test requires irreducible quartics")
-    square = is_rational_square(n1 * n2)
-    return "distinct" if not square else "inconclusive"
+    return "distinct" if exact_isqrt(n1 * n2) is None else "inconclusive"
 
 
 class ReductionCertificate(_Value):

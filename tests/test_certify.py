@@ -327,6 +327,47 @@ def test_one_run_reduces_the_chosen_ideal_once(monkeypatch):
     assert check.outputs["principal"] and check.verdict == "fail"
 
 
+def test_one_run_builds_the_ideal_class_and_both_reductions_once(monkeypatch):
+    # the run builds them before any check, and checks 2-8 read them
+    from zdcert.orders import ideal_class
+    from zdcert.weil import certify_reduction
+
+    classes, reductions = _count_calls(monkeypatch, ideal_class), _count_calls(monkeypatch, certify_reduction)
+    assert run_raw(DATASET).verdict == "pass"
+    assert (classes, reductions) == ([1], [2])
+
+
+def test_zero_divisor_witness_matches_a_model_of_z_av():
+    # an independent model of Z[AV] for Q(√10): a class is (rank, Steinitz class in Z/2),
+    # and a product of varieties adds the ranks and the Steinitz classes
+    from zdcert.orders import class_group, maximal_order
+
+    labels = [str(cls) for cls in class_group(maximal_order(10)).classes]  # [O], then [I]
+
+    def mul(x, y):
+        out = {}
+        for (r1, c1), a in x.items():
+            for (r2, c2), b in y.items():
+                key = (r1 + r2, (c1 + c2) % 2)
+                out[key] = out.get(key, 0) + a * b
+        return {key: c for key, c in out.items() if c}
+
+    def render(x):
+        text = ""
+        for (rank, cls), c in sorted(x.items()):
+            term = f"e[(rank {rank}, {labels[cls]})]"
+            term = term if abs(c) == 1 else f"{abs(c)}*{term}"
+            text = f"{text} {'-' if c < 0 else '+'} {term}" if text else f"{'-' if c < 0 else ''}{term}"
+        return text or "0"
+
+    x, y = {(1, 0): 1, (1, 1): 1}, {(1, 0): 1, (1, 1): -1}  # e[A] + e[B], e[A] - e[B]
+    assert x and y and mul(x, y) == {}
+    check = next(c for c in run_raw(DATASET).checks if c.name == "zero_divisor_witness")
+    assert check.outputs == {"x": render(x), "y": render(y), "product": render(mul(x, y)),
+                             "accepted": True}
+    assert render(x) == "e[(rank 1, [1Z + (0 + √10)Z])] + e[(rank 1, [2Z + (0 + √10)Z])]"
+
+
 def test_one_run_hashes_no_class_chain_and_validates_only_input_ideals(monkeypatch):
     # one bundled operation: monoid-ring terms are summed by sort key and a basis
     # element is built as its one term, so nothing is hashed; class ideals come from

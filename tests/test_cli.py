@@ -17,11 +17,11 @@ GOLDEN_HELP = Path(__file__).parent / "data" / "golden_help.json"
 HUGE_D = "1000000000000000003"
 
 
-def _python(*args, timeout=60, **kwargs):
-    """Run a fresh interpreter that imports zdcert from this source tree."""
+def _python(*args, timeout=60, env=(), **kwargs):
+    """Run a fresh interpreter that imports zdcert from this source tree, with env's variables set."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, text=True,
-                          timeout=timeout, **kwargs)
+    return subprocess.run([sys.executable, *args], env={**os.environ, **dict(env), "PYTHONPATH": path},
+                          text=True, timeout=timeout, **kwargs)
 
 
 def test_classgroup_loads_only_its_layers():
@@ -156,3 +156,28 @@ def test_oversized_input_exits_two_at_once(tmp_path, raw, extra, message):
     result = _python("-m", "zdcert", "verify", *source, *extra, capture_output=True, timeout=2)
     assert result.returncode == 2
     assert message in result.stderr and result.stdout == ""
+
+
+# the C locale, with neither locale coercion nor UTF-8 mode: open() defaults to ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+
+
+def test_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_bundled_with(note="Hecke field Q(√10)"), ensure_ascii=False), encoding="utf-8")
+    result = _python("-m", "zdcert", "verify", str(path), capture_output=True, env=ASCII_LOCALE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "OVERALL: PASS (10/10 computed checks pass)"
+    path.write_bytes(b'{"level": "\xff"}')  # not UTF-8
+    result = _python("-m", "zdcert", "verify", str(path), capture_output=True, env=ASCII_LOCALE)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"input error: {path}: cannot read input file:")
+
+
+@pytest.mark.parametrize("args", [["verify", "--bundled"], ["classgroup", "--d", "10"]], ids=lambda args: args[0])
+def test_ascii_stdout_prints_escapes_and_keeps_the_exit_code(args):
+    result = _python("-m", "zdcert", *args, capture_output=True, env={"PYTHONIOENCODING": "ascii"})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "\\u221a10" in result.stdout and "√" not in result.stdout
+    if args[0] == "verify":
+        assert result.stdout.splitlines()[-1] == "OVERALL: PASS (10/10 computed checks pass)"
