@@ -17,7 +17,7 @@ _EXPORTS = {
     "errors": ("DeductionRefused", "InputDataError", "InvalidEigenvalueError", "MismatchError",
                "ResourceLimitError"),
     "quadratic": ("QuadElement", "is_prime", "is_squarefree"),
-    "polynomials": ("IntPoly", "X", "discriminant", "is_rational_square", "resultant"),
+    "polynomials": ("IntPoly", "X", "discriminant", "resultant"),
     "orders": ("ClassGroup", "FracIdeal", "IdealClass", "QuadOrder", "class_group",
                "fundamental_unit", "ideal_class", "is_principal", "maximal_order",
                "minkowski_bound", "principal_generator", "principal_ideal", "trivial_class",

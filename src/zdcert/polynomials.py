@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .quadratic import _Value, _terms_text, binary_power, exact_isqrt
+from .quadratic import _Value, _terms_text, binary_power
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -25,7 +25,7 @@ class IntPoly(_Value):
     def __init__(self, coeffs: Sequence[int] = ()):
         if any(not isinstance(c, int) for c in coeffs):
             raise TypeError("IntPoly coefficients must be integers")
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+        super().__init__(_normalize(coeffs))
 
     @property
     def degree(self) -> int:
@@ -152,9 +152,3 @@ def discriminant(f: IntPoly) -> int:
         return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return _exact_div(sign * resultant(f, f.derivative()), f.lc)
-
-
-def is_rational_square(q: int | Fraction) -> bool:
-    """True iff q is the square of a rational; zero counts, negatives do not."""
-    q = Fraction(q)  # a negative q has a negative numerator, which exact_isqrt refuses
-    return exact_isqrt(q.numerator) is not None and exact_isqrt(q.denominator) is not None

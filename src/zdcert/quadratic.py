@@ -98,7 +98,9 @@ class _Value:
 
     Equality and hash go by the field tuple, and only between instances of the
     same class; assignment and deletion raise AttributeError; repr is
-    Name(field=value, ...).  __init__ takes the fields in order, unchecked.
+    Name(field=value, ...).  __init__ takes the fields in order, unchecked; a
+    subclass defines __init__ only to check or derive its fields, and ends it in
+    super().__init__(...).
     """
 
     __slots__ = ()
@@ -143,7 +145,7 @@ class QuadElement(_Value):
     __slots__ = ("d", "a", "b")
 
     def __init__(self, d: int, a: Rat, b: Rat = 0):
-        _set_coords(self, _check_d(d), a, b)
+        super().__init__(_check_d(d), Fraction(a), Fraction(b))
 
     def _same_field(self, other: "QuadElement") -> None:
         if self.d != other.d:
@@ -249,16 +251,14 @@ def _root_text(d: int) -> str:
     return f"√{d}" if d > 0 else f"√({d})"
 
 
-def _set_coords(x: QuadElement, d: int, a: Rat, b: Rat) -> None:
-    object.__setattr__(x, "d", d)
-    object.__setattr__(x, "a", a if a.__class__ is Fraction else Fraction(a))
-    object.__setattr__(x, "b", b if b.__class__ is Fraction else Fraction(b))
-
-
 def _element(d: int, a: Rat, b: Rat = 0) -> QuadElement:
     """QuadElement(d, a, b) for a d that was already validated: skips _check_d."""
+    # fields set by hand: 0.54 us a call, 1.00 us through _Value.__init__ (CPython 3.11.7, 2-vCPU VM)
     x = object.__new__(QuadElement)
-    _set_coords(x, d, a, b)
+    setfield = object.__setattr__
+    setfield(x, "d", d)
+    setfield(x, "a", a if a.__class__ is Fraction else Fraction(a))
+    setfield(x, "b", b if b.__class__ is Fraction else Fraction(b))
     return x
 
 

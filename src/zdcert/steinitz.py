@@ -26,8 +26,7 @@ class ModuleClass(_Value):
             raise ValueError("module rank cannot be negative")
         if rank == 0 and not steinitz.is_trivial:
             raise ValueError("the zero module has trivial Steinitz class")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "steinitz", steinitz)
+        super().__init__(rank, steinitz)
 
     @property
     def order(self) -> QuadOrder:
@@ -70,10 +69,6 @@ class AVClass(_Value):
     """
 
     __slots__ = ("base_tag", "module")
-
-    def __init__(self, base_tag: str, module: ModuleClass):
-        object.__setattr__(self, "base_tag", base_tag)
-        object.__setattr__(self, "module", module)
 
     def __str__(self) -> str:
         return f"{self.module} (x) {self.base_tag}"

@@ -9,7 +9,6 @@ from zdcert.polynomials import (
     IntPoly,
     X,
     discriminant,
-    is_rational_square,
     resultant,
 )
 
@@ -380,17 +379,3 @@ def test_power_sums_and_hankel_rank():
         power_sums(IntPoly((1, 0, 2)), 4)  # not monic
     with pytest.raises(ValueError):
         power_sums(CHARPOLY_17, -1)
-
-
-def test_is_rational_square():
-    assert is_rational_square(Fraction(9, 4))
-    assert not is_rational_square(-1)
-    assert not is_rational_square(10)
-    assert is_rational_square(0)
-    squares = {Fraction(a * a, b * b) for a in range(8) for b in range(1, 8)}
-    rng = random.Random(20260817)
-    for _ in range(500):
-        q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        assert is_rational_square(q * q)
-        # |numerator| and denominator are at most 50 < 8^2, so this set holds every square q can be
-        assert is_rational_square(q) == (q in squares)

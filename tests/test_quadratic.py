@@ -149,6 +149,21 @@ def test_integer_kernels_match_fraction_formulas():
     assert quotients > 4700  # only y = 0 has norm 0
 
 
+def test_trusted_element_builder_matches_the_checked_constructor():
+    # _element skips _check_d and writes its fields by hand; QuadElement goes through _Value.__init__
+    from zdcert.quadratic import _element
+
+    coords = [(0, 0), (3, -2), (Fraction(1, 2), Fraction(-3, 2)), (Fraction(5, 4), 7), (-1, Fraction(2, 3))]
+    for d in (-7, -3, -1, 2, 5, 10, 13, 21):  # -7, -3, 5, 13 and 21 are 1 mod 4
+        for a, b in coords:
+            trusted, checked = _element(d, a, b), QuadElement(d, a, b)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert repr(trusted) == repr(checked)
+            for x in (trusted, checked):
+                assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert _element(d, 4) == QuadElement(d, 4) == QuadElement(d, 4, 0)
+
+
 def test_division_by_zero_element_keeps_its_message():
     for d in KERNEL_FIELDS:
         with pytest.raises(ZeroDivisionError, match="^division by zero quadratic element$"):

@@ -2,14 +2,14 @@ import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from zdcert import weil
 from zdcert.errors import DeductionRefused, InvalidEigenvalueError
-from zdcert.polynomials import IntPoly, discriminant, is_rational_square
-from zdcert.quadratic import QuadElement, is_prime
+from zdcert.polynomials import IntPoly, discriminant
+from zdcert.quadratic import QuadElement, exact_isqrt, is_prime
 from zdcert.weil import (
     NewformDatum,
     StabilityReport,
@@ -323,7 +323,8 @@ def test_distinctness_golden():
     assert distinct_fields_certificate(CHARPOLY_17, CHARPOLY_19) == "distinct"
     assert distinct_fields_certificate(CHARPOLY_19, CHARPOLY_17) == "distinct"  # symmetric
     assert Fraction(discriminant(CHARPOLY_17.poly), discriminant(CHARPOLY_19.poly)) == Fraction(81209, 332481)
-    assert not is_rational_square(Fraction(81209, 332481))
+    # in lowest terms with a numerator that is not a square, so not the square of a rational
+    assert gcd(81209, 332481) == 1 and exact_isqrt(81209) is None
 
 
 def test_distinctness_inconclusive_cases():
