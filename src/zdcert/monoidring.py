@@ -13,6 +13,7 @@ it hashes no monoid element.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
 
 from .errors import MismatchError
 from .quadratic import _Value, _terms_text
@@ -189,18 +190,11 @@ def albanese_image(
     products, kills every P^n, and fixes abelian varieties; so the image is
     the direct sum of the abelian factors.
     """
-    total = monoid.identity()
-    for f in factors:
-        if isinstance(f, ProjectiveSpace):
-            continue
-        if isinstance(f, ModuleClass):
-            f = monoid.element(f)
-        if isinstance(f, AVClass):
-            monoid.validate(f)
-            total = monoid.combine(total, f)
-        else:
-            raise ValueError(f"unsupported factor kind: {f!r}")
-    return basis_element(monoid, total)
+    abelian = [monoid.element(f) if isinstance(f, ModuleClass) else f
+               for f in factors if not isinstance(f, ProjectiveSpace)]
+    for f in abelian:
+        monoid.validate(f)
+    return basis_element(monoid, reduce(monoid.combine, abelian, monoid.identity()))
 
 
 class WitnessReport(_Value):

@@ -64,8 +64,6 @@ class IntPoly(_Value):
             return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -121,10 +119,6 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    if f.degree == 0:
-        return f.lc ** g.degree
-    if g.degree == 0:
-        return g.lc ** f.degree
     a, b, s, lc, h = f.coeffs, g.coeffs, 1, 1, 1
     if len(a) < len(b):
         a, b = b, a
@@ -148,7 +142,5 @@ def discriminant(f: IntPoly) -> int:
     n = f.degree
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
-    if n == 1:
-        return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return _exact_div(sign * resultant(f, f.derivative()), f.lc)

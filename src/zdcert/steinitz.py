@@ -10,6 +10,7 @@ argument consumes.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from functools import reduce
 
@@ -37,7 +38,7 @@ class ModuleClass(_Value):
 
 
 def zero_module(order: QuadOrder) -> ModuleClass:
-    return ModuleClass(0, trivial_class(order))
+    return free_module(order, 0)
 
 
 def free_module(order: QuadOrder, rank: int) -> ModuleClass:
@@ -48,16 +49,12 @@ def class_of_ideal_sum(classes: Sequence[IdealClass]) -> ModuleClass:
     """Class of I_1 + ... + I_n: (n, product of the classes)."""
     if not classes:
         raise ValueError("need at least one ideal class (the order is otherwise unknown)")
-    return reduce(direct_sum, (ModuleClass(1, c) for c in classes))
+    return ModuleClass(len(classes), reduce(operator.mul, classes))
 
 
 def direct_sum(m1: ModuleClass, m2: ModuleClass) -> ModuleClass:
     if m1.order != m2.order:
         raise MismatchError("module classes live over different orders")
-    if m1.rank == 0:
-        return m2
-    if m2.rank == 0:
-        return m1
     return ModuleClass(m1.rank + m2.rank, m1.steinitz * m2.steinitz)
 
 

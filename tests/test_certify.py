@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,11 @@ import pytest
 from zdcert.certify import load_input, parse_input, run_certificate
 from zdcert.cli import bundled_dataset_path, main
 from zdcert.errors import InputDataError
+from zdcert.orders import FracIdeal, maximal_order
+from zdcert.polynomials import IntPoly, discriminant
+from zdcert.quadratic import QuadElement
+
+from test_orders import wide_h_by_forms
 
 DATASET = json.loads(bundled_dataset_path().read_text())
 GOLDEN = [Path(__file__).parent / "data" / name
@@ -151,6 +157,7 @@ def test_input_validation_errors():
         (_mutate(DATASET, ["ideal", "q"], 0), "ideal.q"),
         (fresh(paper_charpoly=[1, 2]), "paper_charpoly"),
         (fresh(eigenvalues=[DATASET["eigenvalues"][0]]), "eigenvalues"),
+        (fresh(ideal=5), "ideal: field 'ideal' must be an object"),
     ]:
         with pytest.raises(InputDataError) as err:
             parse_input(raw)
@@ -187,6 +194,62 @@ def test_eigenvalues_of_a_nonmaximal_order_refuse_the_deduction():
     raw = copy.deepcopy(CONDUCTOR_2_DATASET)
     raw["eigenvalues"].append({"p": 31, "a": [1, 2, 1, 2]})  # (1 + √65)/2 = ω
     assert run_raw(raw).verdict == "pass"
+
+
+def test_failure_texts_that_no_corpus_input_reaches():
+    # the corpus has d <= 60, where h <= 2, so none of its inputs fails check 2 or check 8;
+    # each input below is the bundled dataset with one part changed
+    def failures(raw):
+        cert = run_raw(raw)
+        return cert, [[c.name, c.outputs.get("detail")] for c in cert.failed_checks]
+
+    # Q(√79) has class group Z/3 (h = 3 by the form-cycle count), so [I]^2 != 1 for the
+    # ideal I = (3, 1 + √79); I times its conjugate is (3), so [I]^2 = [conj(I)] = [(3, 2 + √79)]
+    order = maximal_order(79)
+    assert wide_h_by_forms(order) == 3
+    ideal = FracIdeal(order, 3, 1)
+    assert ideal * ideal.conjugate() == FracIdeal(order, 1, 0, 3)
+    assert str(ideal.conjugate()) == "3Z + (2 + √79)Z"
+    raw = fresh(hecke_field_d=79, level=11, ideal={"a": 3, "b": 1, "q": 1},
+                eigenvalues=[{"p": 23, "a": [0, 1, 1, 1]}, {"p": 29, "a": [1, 1, 1, 1]}])
+    del raw["paper_charpoly"]
+    _, got = failures(raw)
+    assert got == [
+        ["class_group", "class group is Z/3 (h = 3), not Z/2"],
+        ["nonprincipal_ideal", "the class of I does not square to the trivial class"],
+        ["power_stability", "stability fails at 23: unstable at power 2"],
+        ["endomorphism_ring", "deduction refused: first reduction: power stability fails, "
+                              "endomorphisms may grow over the closure"],
+        ["steinitz_squares", "I + I has class (rank 2, [3Z + (2 + √79)Z]), "
+                             "O + O has class (rank 2, [1Z + (0 + √79)Z])"],
+        ["zero_divisor_witness", "earlier checks left no A, B classes to compare"],
+    ]
+
+    # a_31 = -3 - 2√10 has norm -31, so the middle coefficient N(a_31) + 2 * 31 = 31
+    # is not prime to p = 31
+    assert QuadElement(10, -3, -2).norm() == -31
+    cert, got = failures(fresh(eigenvalues=[DATASET["eigenvalues"][0], {"p": 31, "a": [-3, 1, -2, 1]}]))
+    assert cert.checks[3].outputs["p31"]["middle_coefficient"] == 31
+    assert got == [
+        ["surface_checks", "reduction at 31 is not ordinary"],
+        ["endomorphism_ring", "deduction refused: second reduction: reduction is not ordinary"],
+    ]
+
+    # a_17 = a_19 = -2√10: the discriminants of the two quartics have a square product,
+    # so their ratio is a rational square
+    cert, got = failures(fresh(eigenvalues=[{"p": 17, "a": [0, 1, -2, 1]}, {"p": 19, "a": [0, 1, -2, 1]}]))
+    frobenius = cert.checks[2].outputs
+    product = discriminant(IntPoly(frobenius["charpoly_p1"])) * discriminant(IntPoly(frobenius["charpoly_p2"]))
+    assert product > 0 and isqrt(product) ** 2 == product
+    assert got == [
+        ["frobenius_charpoly", "computed x^4 - 6x^2 + 289 differs from the reference polynomial "
+                               "x^4 - 8x^3 + 40x^2 - 136x + 289"],
+        ["power_stability", "stability fails at 17: unstable at power 2; "
+                            "stability fails at 19: unstable at power 2"],
+        ["distinct_fields", "discriminant ratio is a rational square: inconclusive"],
+        ["endomorphism_ring", "deduction refused: first reduction: power stability fails, "
+                              "endomorphisms may grow over the closure"],
+    ]
 
 
 def test_degree_6_splitting_fails_the_fixed_stability_sweep(tmp_path, capsys):

@@ -58,6 +58,16 @@ def test_mixed_monoids_rejected():
         _e(FREE, FREE.element(g=1)) + _e(other, other.element(g=1))
     with pytest.raises(ValueError):
         basis_element(FREE, (1, 2, 3))
+    with pytest.raises(ValueError, match="^generator names must be distinct$"):
+        FreeMonoid(("g", "g"))
+    with pytest.raises(ValueError, match=r"^unknown generators: \['h'\]$"):
+        FreeMonoid(("g",)).element(h=1)
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        FREE.element(g=-1)
+    with pytest.raises(TypeError, match="^coefficients must be integers$"):
+        MonoidRingElement.build(FREE, {FREE.element(g=1): 1.5})
+    with pytest.raises(MismatchError, match="^module class lives over a different order$"):
+        AV.element(free_module(maximal_order(2), 1))
 
 
 def _random_free_element(rng):
@@ -168,6 +178,8 @@ def test_albanese_image_examples():
     assert albanese_image(AV, []) == _e(AV, AV.identity())
     with pytest.raises(ValueError):
         albanese_image(AV, ["junk"])
+    with pytest.raises(ValueError, match="^projective space dimension cannot be negative$"):
+        ProjectiveSpace(-1)
 
 
 def test_albanese_image_is_monoid_homomorphism_random():

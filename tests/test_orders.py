@@ -161,6 +161,9 @@ def test_ideal_normal_form_validation():
         FracIdeal(O10, -2, 0)
     with pytest.raises(ValueError):
         FracIdeal(O10, 2, 0, 0)
+    for factor in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="^ideal scaling requires a positive rational$"):
+            FracIdeal(O10, 2, 0) * factor
 
 
 def test_ideal_mul_examples():

@@ -65,6 +65,13 @@ def test_basic_arithmetic():
         assert IntPoly((1, 1)) ** k == IntPoly([comb(k, i) for i in range(k + 1)])
     with pytest.raises(ValueError):
         X ** -1
+    # a product with the zero polynomial is the zero polynomial
+    for product in (IntPoly() * X, X * IntPoly(), IntPoly() * IntPoly()):
+        assert product == IntPoly() and product.coeffs == ()
+    with pytest.raises(TypeError, match="^IntPoly coefficients must be integers$"):
+        IntPoly((1, 2.5))
+    with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
+        IntPoly().lc
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -111,6 +118,9 @@ def test_discriminant_examples():
     for b, c in [(5, 3), (0, -10), (-4, 4)]:
         assert discriminant(IntPoly((c, -b, 1))) == b * b - 4 * c
     assert discriminant(poly_from_roots([1, 2, 3])) == 4  # (1*4*1) squared differences
+    # a linear polynomial has no root differences: its discriminant is the empty product 1
+    for f in (X, IntPoly((-3, 1)), IntPoly((5, 2)), IntPoly((4, -1)), IntPoly((0, -7))):
+        assert discriminant(f) == 1, f
     with pytest.raises(ValueError):
         discriminant(IntPoly((7,)))
 

@@ -81,6 +81,8 @@ def test_weil_bound_enforced():
         frobenius_charpoly(QuadElement(10, 4, -2), 17)  # conjugate embedding too big
     with pytest.raises(InvalidEigenvalueError):
         frobenius_charpoly(QuadElement(10, Fraction(1, 2), 0), 17)  # not integral
+    with pytest.raises(ValueError, match="^the Hecke eigenvalue field must be real quadratic$"):
+        frobenius_charpoly(QuadElement(-5, 1, 0), 17)
 
 
 def test_frobenius_charpoly_tests_the_prime_first():
@@ -183,6 +185,8 @@ def test_weil_shape_validation():
         WeilQuartic(17, IntPoly((289, -135, 40, -8, 1)))  # c1 != p*c3
     with pytest.raises(ValueError):
         WeilQuartic(15, IntPoly((225, -120, 40, -8, 1)))  # p not prime
+    with pytest.raises(ValueError, match="^a Weil quartic must be monic of degree 4$"):
+        WeilQuartic(17, IntPoly((289, 0, 0, 1)))
 
 
 def test_ordinarity():
@@ -338,6 +342,107 @@ def test_distinctness_requires_irreducible():
     sq = WeilQuartic(7, IntPoly((7, 0, 1)) ** 2)
     with pytest.raises(ValueError):
         distinct_fields_certificate(sq, CHARPOLY_17)
+
+
+def _rem_mod(a: list[int], b: list[int], ell: int) -> list[int]:
+    """a mod b over F_ell, for b with a unit leading coefficient; constant term first."""
+    a = [c % ell for c in a]
+    inv, n = pow(b[-1], -1, ell), len(b) - 1
+    while len(a) > n:
+        c = a.pop() * inv % ell  # cancelled by c * x^(len(a) - n) * b
+        for i in range(n):
+            a[len(a) - n + i] = (a[len(a) - n + i] - c * b[i]) % ell
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], ell: int) -> int:
+    """Degree of gcd(a, b) over F_ell, for a nonzero mod ell."""
+    b = _rem_mod(b, a, ell)
+    while b:
+        a, b = b, _rem_mod(a, b, ell)
+    return len(a) - 1
+
+
+def _mul_mod(a: list[int], b: list[int], f: list[int], ell: int) -> list[int]:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _rem_mod(out, f, ell)
+
+
+def _x_power_minus_x_mod(f: list[int], e: int, ell: int) -> list[int]:
+    """x^e - x mod (f, ell), by square and multiply."""
+    acc, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            acc = _mul_mod(acc, base, f, ell)
+        base = _mul_mod(base, base, f, ell)
+        e >>= 1
+    return _rem_mod([c - (k == 1) for k, c in enumerate(acc + [0, 0])], f, ell)
+
+
+def _factorisation_type(f: IntPoly, ell: int) -> tuple[int, int] | None:
+    """(roots of f in F_ell, roots in F_ell^2) for a quartic f squarefree mod ell, else None.
+
+    The two counts tell apart the five degree patterns 1+1+1+1, 1+1+2, 2+2, 1+3 and 4.
+    """
+    coeffs = list(f.coeffs)
+    derivative = [k * c for k, c in enumerate(coeffs)][1:]
+    if _gcd_degree_mod(coeffs, derivative, ell) != 0:
+        return None
+    return tuple(_gcd_degree_mod(coeffs, _x_power_minus_x_mod(coeffs, e, ell), ell)
+                 for e in (ell, ell * ell))
+
+
+def _splitting_witness(q1: WeilQuartic, q2: WeilQuartic, ells) -> int | None:
+    """The first ell, squarefree for both quartics, at which they factor differently mod ell."""
+    for ell in ells:
+        t1, t2 = _factorisation_type(q1.poly, ell), _factorisation_type(q2.poly, ell)
+        if t1 is not None and t2 is not None and t1 != t2:
+            return ell
+    return None
+
+
+def test_distinct_verdicts_have_a_prime_of_different_splitting():
+    # Perlis (J. Number Theory 9, 1977): two quartic fields in which every prime outside
+    # a finite set splits alike are isomorphic.  So a "distinct" verdict must show a
+    # prime ell, squarefree for both quartics, at which they factor differently mod ell.
+    # first the type on quartics whose factorisations are known
+    assert _factorisation_type(IntPoly((-1, 0, 0, 0, 1)), 7) == (2, 4)  # (x - 1)(x + 1)(x^2 + 1)
+    assert _factorisation_type(IntPoly((-1, 0, 0, 0, 1)), 5) == (4, 4)
+    assert _factorisation_type(IntPoly((-1, 0, 0, 0, 1)), 2) is None  # (x + 1)^4
+    assert _factorisation_type(IntPoly((1, 0, 0, 0, 1)), 3) == (0, 4)  # (x^2 + x + 2)(x^2 + 2x + 2)
+    assert _factorisation_type(IntPoly((0, 1, 1, 0, 1)), 2) == (1, 1)  # x(x^3 + x + 1)
+    assert _factorisation_type(IntPoly((1, 1, 0, 0, 1)), 2) == (0, 0)  # x^4 + x + 1 is irreducible
+    assert _factorisation_type(IntPoly((1, 0, 2, 0, 1)), 3) is None  # (x^2 + 1)^2
+
+    rng = random.Random(31)
+    ds = [d for d in range(2, 61) if all(d % (q * q) for q in range(2, 8))]
+    primes = [p for p in range(17, 114) if is_prime(p)]
+    ells = [ell for ell in range(2, 600) if is_prime(ell)]
+
+    def draw(d, p):
+        while True:
+            y = rng.randint(-isqrt(4 * p // d), isqrt(4 * p // d))
+            try:
+                quartic = frobenius_charpoly(QuadElement(d, rng.randint(-2 * isqrt(p), 2 * isqrt(p)), y), p)
+            except InvalidEigenvalueError:
+                continue
+            if is_irreducible(quartic):
+                return quartic
+
+    verdicts = {"distinct": 0, "inconclusive": 0}
+    for _ in range(300):
+        d = rng.choice(ds)
+        q1, q2 = (draw(d, p) for p in rng.sample(primes, 2))
+        verdict = distinct_fields_certificate(q1, q2)
+        verdicts[verdict] += 1
+        if verdict == "distinct":
+            assert _splitting_witness(q1, q2, ells) is not None, (q1, q2)
+    assert verdicts["distinct"] >= 280, verdicts
 
 
 def test_deduction_happy_path():
@@ -503,4 +608,8 @@ def test_newform_datum_validation():
         NewformDatum(276, 10, 2, {17: QuadElement(10, 30, 0)})  # Weil bound
     with pytest.raises(ValueError):
         NewformDatum(0, 10, 2, {})
+    with pytest.raises(ValueError, match="^expected dimension must be positive$"):
+        NewformDatum(276, 10, 0, {})
+    with pytest.raises(ValueError, match=r"^the Hecke field must be real quadratic \(d > 1\)$"):
+        NewformDatum(276, 1, 2, {})
     assert is_prime(23)
